@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 
 #include "common/faultinject.hpp"
@@ -114,19 +115,57 @@ void AtomicFileWriter::Abort() {
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IoError("cannot open for reading: " + path + ErrnoText());
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("read failed: " + path + ErrnoText());
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status status = Status::IoError("stat failed: " + path + ErrnoText());
+    ::close(fd);
+    return status;
   }
-  std::string content = buffer.str();
+  // One buffer sized by fstat and filled by read(2) straight from the page
+  // cache. Bytes past that size (a pipe, a file that grew) are appended.
+  std::string content(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t filled = 0;
+  char chunk[1 << 16];
+  for (;;) {
+    const bool sized = filled < content.size();
+    const ssize_t got =
+        sized ? ::read(fd, content.data() + filled, content.size() - filled)
+              : ::read(fd, chunk, sizeof(chunk));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      const Status status =
+          Status::IoError("read failed: " + path + ErrnoText());
+      ::close(fd);
+      return status;
+    }
+    if (got == 0) break;
+    if (!sized) content.append(chunk, static_cast<std::size_t>(got));
+    filled += static_cast<std::size_t>(got);
+  }
+  ::close(fd);
+  content.resize(filled);
   if (!content.empty() && BEPI_FAULT_INJECTED(fault_sites::kFileBitFlip)) {
     content[content.size() / 2] ^= 0x01;  // deterministic single-bit flip
   }
+  return content;
+}
+
+Result<std::string> ReadStreamToString(std::istream& in) {
+  const std::int64_t remaining = StreamRemainingBytes(in);
+  std::string content;
+  if (remaining >= 0) {
+    content.resize(static_cast<std::size_t>(remaining));
+    in.read(content.data(), static_cast<std::streamsize>(remaining));
+    content.resize(static_cast<std::size_t>(in.gcount()));
+  } else {
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  if (in.bad()) return Status::IoError("failed reading the stream");
   return content;
 }
 

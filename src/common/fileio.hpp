@@ -54,10 +54,14 @@ class AtomicFileWriter {
   bool finished_ = false;  // Commit succeeded or Abort ran
 };
 
-/// Reads a whole file into a string. The fileio.bit_flip fault site, when
-/// armed, flips one bit of the returned content — the read-path corruption
-/// used to exercise checksum verification end to end.
+/// Reads a whole file into a string with read(2) into one buffer sized by
+/// fstat. The fileio.bit_flip fault site, when armed, flips one bit of the
+/// returned content — the read-path corruption used to exercise checksum
+/// verification end to end.
 Result<std::string> ReadFileToString(const std::string& path);
+
+/// The rest of `in` as one string (one read when the stream is seekable).
+Result<std::string> ReadStreamToString(std::istream& in);
 
 /// Bytes left between the current read position and end-of-stream, or -1
 /// when the stream is not seekable. Used to sanity-cap claimed element

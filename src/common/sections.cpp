@@ -2,9 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/checksum.hpp"
 #include "common/fileio.hpp"
@@ -15,11 +13,7 @@ namespace {
 constexpr std::string_view kSectionTag = "%section ";
 constexpr std::string_view kManifestTag = "%manifest ";
 constexpr std::string_view kEntryTag = "%entry ";
-constexpr std::string_view kEndTag = "%end";
-
-/// Largest payload a reader accepts when the stream is not seekable (and
-/// the claimed length therefore cannot be checked against reality).
-constexpr std::uint64_t kMaxUnverifiableSection = std::uint64_t{1} << 31;
+constexpr std::string_view kEndLine = "%end\n";
 
 std::string HexCrc(std::uint32_t crc) {
   char buf[9];
@@ -59,29 +53,139 @@ bool SplitFields(std::string_view text, std::string_view* tokens,
   return found == want;
 }
 
-struct ParsedHeader {
-  std::string name;
-  std::uint64_t length = 0;
-  std::uint32_t crc = 0;
-};
+/// The line starting at `offset`, without its newline; nullopt when the
+/// buffer ends before a newline does.
+std::optional<std::string_view> LineAt(std::string_view buf,
+                                       std::uint64_t offset) {
+  if (offset > buf.size()) return std::nullopt;
+  const std::size_t end = buf.find('\n', static_cast<std::size_t>(offset));
+  if (end == std::string_view::npos) return std::nullopt;
+  return buf.substr(static_cast<std::size_t>(offset),
+                    end - static_cast<std::size_t>(offset));
+}
 
-bool ParseSectionHeader(std::string_view line, ParsedHeader* out) {
-  if (line.rfind(kSectionTag, 0) != 0) return false;
-  std::string_view fields[3];
-  if (!SplitFields(line.substr(kSectionTag.size()), fields, 3)) return false;
-  if (!ParseU64(fields[1], &out->length) || !ParseHex32(fields[2], &out->crc)) {
+/// Parses "<tag><name> [<offset>] <length> <crc>" (the offset only in
+/// manifest entries).
+bool ParseEntryLine(std::string_view line, std::string_view tag,
+                    bool with_offset, SectionEntry* out) {
+  if (line.substr(0, tag.size()) != tag) return false;
+  std::string_view fields[4];
+  const std::size_t want = with_offset ? 4 : 3;
+  if (!SplitFields(line.substr(tag.size()), fields, want)) return false;
+  if (with_offset && !ParseU64(fields[1], &out->offset)) return false;
+  if (!ParseU64(fields[want - 2], &out->length) ||
+      !ParseHex32(fields[want - 1], &out->crc)) {
     return false;
   }
   out->name = std::string(fields[0]);
   return true;
 }
 
-std::string EntryLine(std::string_view name, std::uint64_t offset,
-                      std::uint64_t length, std::uint32_t crc) {
-  std::ostringstream line;
-  line << kEntryTag << name << " " << offset << " " << length << " "
-       << HexCrc(crc) << "\n";
-  return line.str();
+/// "<tag><name> [<offset> ]<length> <crc>\n" (the offset only in
+/// manifest entries). Built with += (GCC 12 misreports `"lit" + string&&`
+/// under -Werror=restrict).
+std::string EntryLine(std::string_view tag, const SectionEntry& e,
+                      bool with_offset) {
+  std::string line(tag);
+  line += e.name;
+  line += ' ';
+  if (with_offset) {
+    line += std::to_string(e.offset);
+    line += ' ';
+  }
+  line += std::to_string(e.length);
+  line += ' ';
+  line += HexCrc(e.crc);
+  line += '\n';
+  return line;
+}
+
+/// The section block at `offset` — header line, payload, newline — with
+/// `*next` set past it. The payload's CRC is not checked here; every error
+/// is structural damage (DataLoss).
+Result<Section> SectionAt(std::string_view buf, std::uint64_t offset,
+                          std::uint64_t* next) {
+  const std::optional<std::string_view> line = LineAt(buf, offset);
+  SectionEntry header;
+  if (!line.has_value() || !ParseEntryLine(*line, kSectionTag, false, &header)) {
+    return Status::DataLoss("malformed section header at offset " +
+                            std::to_string(offset) + ": " +
+                            std::string(line.value_or("<truncated>").substr(
+                                0, 64)));
+  }
+  const std::uint64_t start = offset + line->size() + 1;
+  // `start <= buf.size()` holds (the header's newline is in the buffer), so
+  // the subtraction cannot wrap and the claimed length is checked against
+  // the bytes that actually follow before anything else uses it.
+  if (header.length >= buf.size() - start ||
+      buf[static_cast<std::size_t>(start + header.length)] != '\n') {
+    return Status::DataLoss("section '" + header.name + "' at offset " +
+                            std::to_string(offset) + " claims " +
+                            std::to_string(header.length) +
+                            " bytes and is truncated");
+  }
+  Section section;
+  section.name = std::move(header.name);
+  section.payload = buf.substr(static_cast<std::size_t>(start),
+                               static_cast<std::size_t>(header.length));
+  section.offset = offset;
+  section.crc = header.crc;
+  *next = start + header.length + 1;
+  return section;
+}
+
+/// Verifies the manifest block at `offset`: its own checksum, its entries
+/// against the sections scanned before it, and the end marker closing the
+/// buffer.
+Status VerifyManifestAt(std::string_view buf, std::uint64_t offset,
+                        const std::vector<SectionEntry>& seen) {
+  const std::optional<std::string_view> line = LineAt(buf, offset);
+  std::string_view fields[2];
+  std::uint64_t count = 0;
+  std::uint32_t manifest_crc = 0;
+  if (!line.has_value() ||
+      line->substr(0, kManifestTag.size()) != kManifestTag ||
+      !SplitFields(line->substr(kManifestTag.size()), fields, 2) ||
+      !ParseU64(fields[0], &count) || !ParseHex32(fields[1], &manifest_crc)) {
+    return Status::DataLoss("malformed manifest header at offset " +
+                            std::to_string(offset));
+  }
+  if (count != seen.size()) {
+    return Status::DataLoss("manifest lists " + std::to_string(count) +
+                            " sections but the stream holds " +
+                            std::to_string(seen.size()));
+  }
+  const std::uint64_t entries_start = offset + line->size() + 1;
+  std::uint64_t pos = entries_start;
+  std::vector<SectionEntry> entries(seen.size());
+  for (SectionEntry& parsed : entries) {
+    const std::optional<std::string_view> entry = LineAt(buf, pos);
+    if (!entry.has_value() ||
+        !ParseEntryLine(*entry, kEntryTag, true, &parsed)) {
+      return Status::DataLoss("truncated or malformed manifest entry at "
+                              "offset " + std::to_string(pos));
+    }
+    pos += entry->size() + 1;
+  }
+  if (Crc32c::Compute(buf.substr(static_cast<std::size_t>(entries_start),
+                                 static_cast<std::size_t>(
+                                     pos - entries_start))) != manifest_crc) {
+    return Status::DataLoss("manifest checksum mismatch at offset " +
+                            std::to_string(offset));
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    const SectionEntry& a = entries[i];
+    const SectionEntry& b = seen[i];
+    if (a.name != b.name || a.offset != b.offset || a.length != b.length ||
+        a.crc != b.crc) {
+      return Status::DataLoss("manifest disagrees with section '" + b.name +
+                              "' at offset " + std::to_string(b.offset));
+    }
+  }
+  if (buf.substr(static_cast<std::size_t>(pos)) != kEndLine) {
+    return Status::DataLoss("missing end marker after manifest");
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -100,18 +204,14 @@ Status SectionWriter::Add(std::string_view name, std::string_view payload) {
     return Status::InvalidArgument("bad section name: '" + std::string(name) +
                                    "'");
   }
-  const std::uint32_t crc = Crc32c::Compute(payload);
-  std::ostringstream header;
-  header << kSectionTag << name << " " << payload.size() << " " << HexCrc(crc)
-         << "\n";
-  const std::string header_text = header.str();
-  entries_.push_back(
-      {std::string(name), offset_, payload.size(), crc});
-  out_ << header_text;
-  out_.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
+  SectionEntry entry{std::string(name), offset_, payload.size(),
+                     Crc32c::Compute(payload)};
+  const std::string header = EntryLine(kSectionTag, entry, false);
+  out_ << header;
+  out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   out_ << "\n";
-  offset_ += header_text.size() + payload.size() + 1;
+  offset_ += header.size() + payload.size() + 1;
+  entries_.push_back(std::move(entry));
   if (!out_) {
     return Status::IoError("failed writing section '" + std::string(name) +
                            "'");
@@ -125,158 +225,52 @@ Status SectionWriter::Finish() {
   }
   finished_ = true;
   std::string entry_lines;
-  for (const Entry& e : entries_) {
-    entry_lines += EntryLine(e.name, e.offset, e.length, e.crc);
+  for (const SectionEntry& e : entries_) {
+    entry_lines += EntryLine(kEntryTag, e, true);
   }
   out_ << kManifestTag << entries_.size() << " "
        << HexCrc(Crc32c::Compute(entry_lines)) << "\n"
-       << entry_lines << kEndTag << "\n";
+       << entry_lines << kEndLine;
   out_.flush();
   if (!out_) return Status::IoError("failed writing section manifest");
   return Status::Ok();
 }
 
-Result<SectionReader> SectionReader::Open(std::istream& in,
+Result<SectionReader> SectionReader::Open(std::string_view buffer,
                                           std::string_view expected_magic) {
-  std::string magic;
-  if (!std::getline(in, magic) || magic != expected_magic) {
+  const std::string_view magic = LineAt(buffer, 0).value_or(buffer);
+  if (magic != expected_magic) {
     return Status::IoError("bad magic: expected '" +
-                           std::string(expected_magic) + "', got '" + magic +
-                           "'");
+                           std::string(expected_magic) + "', got '" +
+                           std::string(magic.substr(0, 64)) + "'");
   }
-  return SectionReader(in, magic.size() + 1);
+  return SectionReader(buffer, magic.size() + 1);
 }
-
-SectionReader::SectionReader(std::istream& in, std::uint64_t bytes_consumed)
-    : in_(in), offset_(bytes_consumed) {}
 
 Result<std::optional<Section>> SectionReader::Next() {
   if (done_) return std::optional<Section>();
-  const std::uint64_t header_offset = offset_;
-  std::string line;
-  if (!std::getline(in_, line)) {
+  const std::optional<std::string_view> line = LineAt(buffer_, offset_);
+  if (!line.has_value()) {
     return Status::DataLoss(
-        "truncated stream at offset " + std::to_string(header_offset) +
+        "truncated stream at offset " + std::to_string(offset_) +
         ": section header or manifest missing");
   }
-  offset_ += line.size() + 1;
-
-  if (line.rfind(kManifestTag, 0) == 0) {
-    // Trailing manifest: verify its own checksum, the end marker, and that
-    // it agrees with every section header we already verified.
-    std::string_view fields[2];
-    std::uint64_t count = 0;
-    std::uint32_t manifest_crc = 0;
-    if (!SplitFields(std::string_view(line).substr(kManifestTag.size()),
-                     fields, 2) ||
-        !ParseU64(fields[0], &count) || !ParseHex32(fields[1], &manifest_crc)) {
-      return Status::DataLoss("malformed manifest header at offset " +
-                              std::to_string(header_offset) + ": " + line);
-    }
-    if (count > seen_.size()) {
-      return Status::DataLoss("manifest claims " + std::to_string(count) +
-                              " sections, saw " +
-                              std::to_string(seen_.size()));
-    }
-    std::string entry_lines;
-    std::vector<ParsedHeader> entries;
-    std::vector<std::uint64_t> entry_offsets;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::string entry;
-      if (!std::getline(in_, entry)) {
-        return Status::DataLoss("truncated manifest: " + std::to_string(i) +
-                                " of " + std::to_string(count) +
-                                " entries present");
-      }
-      offset_ += entry.size() + 1;
-      entry_lines += entry + "\n";
-      std::string_view entry_fields[4];
-      ParsedHeader parsed;
-      std::uint64_t entry_offset = 0;
-      if (entry.rfind(kEntryTag, 0) != 0 ||
-          !SplitFields(std::string_view(entry).substr(kEntryTag.size()),
-                       entry_fields, 4) ||
-          !ParseU64(entry_fields[1], &entry_offset) ||
-          !ParseU64(entry_fields[2], &parsed.length) ||
-          !ParseHex32(entry_fields[3], &parsed.crc)) {
-        return Status::DataLoss("malformed manifest entry: " + entry);
-      }
-      parsed.name = std::string(entry_fields[0]);
-      entries.push_back(parsed);
-      entry_offsets.push_back(entry_offset);
-    }
-    if (Crc32c::Compute(entry_lines) != manifest_crc) {
-      return Status::DataLoss("manifest checksum mismatch at offset " +
-                              std::to_string(header_offset));
-    }
-    std::string end;
-    // eof() after a successful getline means the final newline was cut off
-    // — the stream was truncated mid-marker even though the text matches.
-    if (!std::getline(in_, end) || end != kEndTag || in_.eof()) {
-      return Status::DataLoss("missing end marker after manifest");
-    }
-    if (entries.size() != seen_.size()) {
-      return Status::DataLoss(
-          "manifest lists " + std::to_string(entries.size()) +
-          " sections but the stream holds " + std::to_string(seen_.size()));
-    }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].name != seen_[i].name ||
-          entry_offsets[i] != seen_[i].offset ||
-          entries[i].length != seen_[i].length ||
-          entries[i].crc != seen_[i].crc) {
-        return Status::DataLoss("manifest disagrees with section '" +
-                                seen_[i].name + "' at offset " +
-                                std::to_string(seen_[i].offset));
-      }
-    }
+  if (line->substr(0, kManifestTag.size()) == kManifestTag) {
+    BEPI_RETURN_IF_ERROR(VerifyManifestAt(buffer_, offset_, seen_));
     done_ = true;
     return std::optional<Section>();
   }
-
-  ParsedHeader header;
-  if (!ParseSectionHeader(line, &header)) {
-    return Status::DataLoss("malformed section header at offset " +
-                            std::to_string(header_offset) + ": " + line);
-  }
-  const std::int64_t remaining = StreamRemainingBytes(in_);
-  if (remaining >= 0 &&
-      header.length > static_cast<std::uint64_t>(remaining)) {
-    return Status::DataLoss(
-        "section '" + header.name + "' at offset " +
-        std::to_string(header_offset) + " claims " +
-        std::to_string(header.length) + " bytes but only " +
-        std::to_string(remaining) + " remain (truncated?)");
-  }
-  if (remaining < 0 && header.length > kMaxUnverifiableSection) {
-    return Status::DataLoss("section '" + header.name +
-                            "' claims an implausible size of " +
-                            std::to_string(header.length) + " bytes");
-  }
-  Section section;
-  section.name = header.name;
-  section.offset = header_offset;
-  section.crc = header.crc;
-  section.payload.resize(header.length);
-  in_.read(section.payload.data(),
-           static_cast<std::streamsize>(header.length));
-  if (static_cast<std::uint64_t>(in_.gcount()) != header.length ||
-      in_.get() != '\n') {
-    return Status::DataLoss("section '" + header.name + "' at offset " +
-                            std::to_string(header_offset) +
-                            " is truncated");
-  }
-  offset_ += header.length + 1;
+  BEPI_ASSIGN_OR_RETURN(Section section, SectionAt(buffer_, offset_, &offset_));
   const std::uint32_t actual = Crc32c::Compute(section.payload);
-  if (actual != header.crc) {
-    return Status::DataLoss("section '" + header.name + "' at offset " +
-                            std::to_string(header_offset) +
+  if (actual != section.crc) {
+    return Status::DataLoss("section '" + section.name + "' at offset " +
+                            std::to_string(section.offset) +
                             " failed its checksum: stored " +
-                            HexCrc(header.crc) + ", computed " +
+                            HexCrc(section.crc) + ", computed " +
                             HexCrc(actual));
   }
   seen_.push_back(
-      {section.name, section.offset, header.length, header.crc});
+      {section.name, section.offset, section.payload.size(), section.crc});
   return std::optional<Section>(std::move(section));
 }
 
@@ -294,110 +288,77 @@ Result<Section> SectionReader::Expect(std::string_view expected_name) {
   return std::move(*section);
 }
 
-IntegrityReport CheckIntegrity(std::istream& in,
+IntegrityReport CheckIntegrity(std::string_view buffer,
                                std::string_view magic_prefix) {
   IntegrityReport report;
   report.overall = Status::Ok();
-  std::string magic;
-  if (!std::getline(in, magic) || magic.rfind(magic_prefix, 0) != 0) {
-    report.overall = Status::IoError("bad magic: expected a '" +
-                                     std::string(magic_prefix) +
-                                     "...' file, got '" + magic + "'");
+  const std::optional<std::string_view> magic = LineAt(buffer, 0);
+  if (!magic.has_value() ||
+      magic->substr(0, magic_prefix.size()) != magic_prefix) {
+    report.overall = Status::IoError(
+        "bad magic: expected a '" + std::string(magic_prefix) +
+        "...' file, got '" +
+        std::string(magic.value_or(buffer).substr(0, 64)) + "'");
     return report;
   }
-  report.magic = magic;
+  report.magic = std::string(*magic);
 
   auto note = [&report](Status problem) {
     if (report.overall.ok()) report.overall = std::move(problem);
   };
-
-  std::uint64_t offset = magic.size() + 1;
-  std::string line;
-  bool saw_manifest = false;
-  while (std::getline(in, line)) {
+  std::vector<SectionEntry> seen;
+  std::uint64_t offset = magic->size() + 1;
+  for (;;) {
+    const std::optional<std::string_view> line = LineAt(buffer, offset);
+    if (!line.has_value()) {
+      note(Status::DataLoss("truncated stream: manifest missing"));
+      return report;
+    }
+    if (line->substr(0, kManifestTag.size()) == kManifestTag) {
+      const Status manifest = VerifyManifestAt(buffer, offset, seen);
+      report.manifest_ok = manifest.ok();
+      if (!manifest.ok()) note(manifest);
+      return report;
+    }
     const std::uint64_t header_offset = offset;
-    offset += line.size() + 1;
-    if (line.rfind(kManifestTag, 0) == 0) {
-      // Re-verify the manifest against what was actually scanned.
-      std::string_view fields[2];
-      std::uint64_t count = 0;
-      std::uint32_t manifest_crc = 0;
-      if (!SplitFields(std::string_view(line).substr(kManifestTag.size()),
-                       fields, 2) ||
-          !ParseU64(fields[0], &count) ||
-          !ParseHex32(fields[1], &manifest_crc)) {
-        note(Status::DataLoss("malformed manifest header: " + line));
-        return report;
+    Result<Section> section = SectionAt(buffer, offset, &offset);
+    if (!section.ok()) {
+      // Keep a row for a section whose header parsed but whose payload is
+      // cut short, so the fsck table shows where the damage starts.
+      SectionEntry header;
+      if (ParseEntryLine(*line, kSectionTag, false, &header)) {
+        report.sections.push_back(
+            {header.name, header_offset, header.length, header.crc, 0, false});
       }
-      std::string entry_lines;
-      for (std::uint64_t i = 0; i < count && std::getline(in, line); ++i) {
-        entry_lines += line + "\n";
-      }
-      const bool crc_ok = Crc32c::Compute(entry_lines) == manifest_crc;
-      std::string end;
-      const bool end_ok = static_cast<bool>(std::getline(in, end)) &&
-                          end == kEndTag && !in.eof();
-      report.manifest_ok =
-          crc_ok && end_ok && count == report.sections.size();
-      saw_manifest = true;
-      if (!report.manifest_ok) {
-        note(Status::DataLoss(
-            !crc_ok ? "manifest checksum mismatch"
-                    : (!end_ok ? "missing end marker after manifest"
-                               : "manifest section count mismatch")));
-      }
-      break;
-    }
-    ParsedHeader header;
-    if (!ParseSectionHeader(line, &header)) {
-      note(Status::DataLoss("malformed section header at offset " +
-                            std::to_string(header_offset) + ": " + line));
+      note(section.status());
       return report;
     }
-    const std::int64_t remaining = StreamRemainingBytes(in);
-    if ((remaining >= 0 &&
-         header.length > static_cast<std::uint64_t>(remaining)) ||
-        (remaining < 0 && header.length > kMaxUnverifiableSection)) {
-      SectionCheck check;
-      check.name = header.name;
-      check.offset = header_offset;
-      check.length = header.length;
-      check.stored_crc = header.crc;
-      check.ok = false;
-      report.sections.push_back(check);
-      note(Status::DataLoss("section '" + header.name + "' at offset " +
-                            std::to_string(header_offset) +
-                            " is truncated"));
-      return report;
-    }
-    std::string payload(header.length, '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(header.length));
-    if (static_cast<std::uint64_t>(in.gcount()) != header.length ||
-        in.get() != '\n') {
-      note(Status::DataLoss("section '" + header.name + "' at offset " +
-                            std::to_string(header_offset) +
-                            " is truncated"));
-      return report;
-    }
-    offset += header.length + 1;
     SectionCheck check;
-    check.name = header.name;
-    check.offset = header_offset;
-    check.length = header.length;
-    check.stored_crc = header.crc;
-    check.actual_crc = Crc32c::Compute(payload);
+    check.name = section->name;
+    check.offset = section->offset;
+    check.length = section->payload.size();
+    check.stored_crc = section->crc;
+    check.actual_crc = Crc32c::Compute(section->payload);
     check.ok = check.actual_crc == check.stored_crc;
     if (!check.ok) {
-      note(Status::DataLoss("section '" + header.name + "' at offset " +
-                            std::to_string(header_offset) +
+      note(Status::DataLoss("section '" + check.name + "' at offset " +
+                            std::to_string(check.offset) +
                             " failed its checksum"));
     }
+    seen.push_back({check.name, check.offset, check.length, check.stored_crc});
     report.sections.push_back(std::move(check));
   }
-  if (!saw_manifest) {
-    note(Status::DataLoss("truncated stream: manifest missing"));
+}
+
+IntegrityReport CheckIntegrity(std::istream& in,
+                               std::string_view magic_prefix) {
+  Result<std::string> buffer = ReadStreamToString(in);
+  if (!buffer.ok()) {
+    IntegrityReport report;
+    report.overall = buffer.status();
+    return report;
   }
-  return report;
+  return CheckIntegrity(std::string_view(*buffer), magic_prefix);
 }
 
 }  // namespace bepi

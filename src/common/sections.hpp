@@ -1,5 +1,5 @@
 // Checksummed section framing for durable on-disk artifacts (model format
-// v3, preprocessing checkpoints). A framed stream is
+// v4, preprocessing checkpoints). A framed file is
 //
 //   <magic>\n
 //   %section <name> <length> <crc32c-hex>\n
@@ -11,9 +11,11 @@
 //
 // Every section carries its byte length and CRC32C so a reader detects any
 // single-byte corruption and names the damaged section; the trailing
-// manifest (itself checksummed, closed by %end) detects tail truncation
-// and lets a verifier cross-check the section directory. Offsets are byte
-// positions of the %section header line counted from the magic line.
+// manifest (itself checksummed, closed by %end at the very end of the file)
+// detects tail truncation and lets a verifier cross-check the section
+// directory. Offsets are byte positions of the %section header line
+// counted from the magic line. Payloads are opaque bytes: the framing
+// never looks inside them, so text and raw binary arrays frame alike.
 #ifndef BEPI_COMMON_SECTIONS_HPP_
 #define BEPI_COMMON_SECTIONS_HPP_
 
@@ -28,10 +30,20 @@
 
 namespace bepi {
 
+/// One section as a reader returns it. `payload` views the buffer the
+/// reader walks and is valid only while that buffer lives.
 struct Section {
   std::string name;
-  std::string payload;
+  std::string_view payload;
   std::uint64_t offset = 0;  // of the %section header line
+  std::uint32_t crc = 0;
+};
+
+/// What the manifest lists for one section.
+struct SectionEntry {
+  std::string name;
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
   std::uint32_t crc = 0;
 };
 
@@ -50,31 +62,22 @@ class SectionWriter {
   Status Finish();
 
  private:
-  struct Entry {
-    std::string name;
-    std::uint64_t offset;
-    std::uint64_t length;
-    std::uint32_t crc;
-  };
-
   std::ostream& out_;
   std::uint64_t offset_ = 0;
-  std::vector<Entry> entries_;
+  std::vector<SectionEntry> entries_;
   bool finished_ = false;
 };
 
-/// Sequential reader: verifies each section's length and CRC as it is
-/// consumed and the manifest at the end. Any integrity problem surfaces as
-/// a DataLoss status naming the section and offset.
+/// Sequential reader over a framed file held in memory: verifies each
+/// section's length and CRC as it is consumed and the manifest at the end.
+/// Any integrity problem surfaces as a DataLoss status naming the section
+/// and offset.
 class SectionReader {
  public:
-  /// Reads and checks the magic line.
-  static Result<SectionReader> Open(std::istream& in,
+  /// Checks the magic line of `buffer`, which must outlive the reader and
+  /// every Section it returns.
+  static Result<SectionReader> Open(std::string_view buffer,
                                     std::string_view expected_magic);
-
-  /// For callers that already consumed the magic line while dispatching on
-  /// format version; `bytes_consumed` is its length including the newline.
-  SectionReader(std::istream& in, std::uint64_t bytes_consumed);
 
   /// The next section, or nullopt once the trailing manifest has been
   /// reached and verified.
@@ -87,16 +90,12 @@ class SectionReader {
   bool done() const { return done_; }
 
  private:
-  struct SeenSection {
-    std::string name;
-    std::uint64_t offset;
-    std::uint64_t length;
-    std::uint32_t crc;
-  };
+  SectionReader(std::string_view buffer, std::uint64_t offset)
+      : buffer_(buffer), offset_(offset) {}
 
-  std::istream& in_;
+  std::string_view buffer_;
   std::uint64_t offset_;
-  std::vector<SeenSection> seen_;  // header info only, payloads dropped
+  std::vector<SectionEntry> seen_;
   bool done_ = false;
 };
 
@@ -122,6 +121,9 @@ struct IntegrityReport {
 /// Full-file fsck: scans every section, continuing past checksum
 /// mismatches so the report covers the whole file. `magic_prefix` guards
 /// against fsck-ing an unrelated file (e.g. "BEPI-").
+IntegrityReport CheckIntegrity(std::string_view buffer,
+                               std::string_view magic_prefix);
+/// The same over the rest of a stream, read into memory first.
 IntegrityReport CheckIntegrity(std::istream& in, std::string_view magic_prefix);
 
 }  // namespace bepi

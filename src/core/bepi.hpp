@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -233,14 +234,24 @@ class BepiSolver final : public RwrSolver {
   const DecompositionKernels* kernels() const { return kernels_.get(); }
   real_t effective_hub_ratio() const { return effective_hub_ratio_; }
 
-  /// Serializes the preprocessed model (options, permutation and the
-  /// query-phase matrices) to a text stream. Preprocessing runs once and
-  /// the model can then be shipped to query servers.
+  /// First line of every model Save writes: format v4 (DESIGN.md §9).
+  static constexpr char kModelMagic[] = "BEPI-MODEL v4";
+
+  /// Serializes the preprocessed model — options, permutation, the
+  /// query-phase matrices, the ILU(0) factor values, the kernel path with
+  /// its level schedules and the spoke block layout — as checksummed
+  /// sections of raw little-endian arrays. Preprocessing runs once and the
+  /// model can then be shipped to query servers. Byte-stable: saving a
+  /// loaded model reproduces the file.
   Status Save(std::ostream& out) const;
   Status SaveFile(const std::string& path) const;
 
-  /// Restores a solver from Save's output. The ILU(0) preconditioner is
-  /// recomputed from S (cheaper than shipping it; same O(|S|) cost).
+  /// Restores a solver from Save's output (`model` is the whole file's
+  /// bytes). Verifies every section's CRC32C and the manifest, then
+  /// decodes the arrays — no text parsing, no refactorization: the ILU(0)
+  /// factors are adopted after a pivot check. A model of format v1-v3 is
+  /// rejected with an error that says to preprocess again.
+  static Result<BepiSolver> Load(std::string_view model);
   static Result<BepiSolver> Load(std::istream& in);
   static Result<BepiSolver> LoadFile(const std::string& path);
 
@@ -287,11 +298,9 @@ class BepiSolver final : public RwrSolver {
   bool McWarmStart(const QueryControl& control, const SlicedVector& cq,
                    Vector* x0) const;
 
-  /// Sectioned, per-section-checksummed format (header already consumed).
-  static Result<BepiSolver> LoadV3(std::istream& in);
-  /// Shared tail of every Load path: recompute the ILU(0) preconditioner,
-  /// invert the permutation, rebuild the structural info fields.
-  Status FinalizeLoaded();
+  /// The tail of Load: invert the permutation, rebuild the structural
+  /// info fields and bind the kernels.
+  void FinalizeLoaded();
   /// Resolves --kernel/BEPI_KERNEL against the matrices, binds the
   /// DecompositionKernels views, arms the ILU(0) level schedules (adopting
   /// loaded ones when valid) and publishes the model.kernel_path gauge.
@@ -308,7 +317,7 @@ class BepiSolver final : public RwrSolver {
   /// heap buffers, which moves do not relocate.
   std::unique_ptr<DecompositionKernels> kernels_;
   /// State restored from a model's "kernel" section; consumed (and the
-  /// schedules validated against the recomputed ILU factors) by
+  /// schedules validated against the loaded ILU factors) by
   /// BindQueryKernels.
   std::optional<KernelPath> loaded_path_;
   std::optional<LevelSchedule> loaded_lower_, loaded_upper_;

@@ -165,12 +165,7 @@ Result<Vector> ResilientSchurSolver::Solve(const Vector& b,
       "every stage of the Schur degradation chain failed");
   for (const Stage stage : Chain(ilu_ != nullptr, options_)) {
     if (stage == Stage::kPower || stage == Stage::kMc) {
-      // A model without H11/H22 (format v1) cannot take the power stage;
-      // the Krylov verdict stands unless the walk stage answers.
-      if (!terminal ||
-          (stage == Stage::kPower &&
-           !SupportsGlobalPowerFallback(*terminal_->dec)) ||
-          (stage == Stage::kMc && terminal_->mc == nullptr)) {
+      if (!terminal || (stage == Stage::kMc && terminal_->mc == nullptr)) {
         continue;
       }
       Result<Vector> r =
@@ -341,8 +336,7 @@ Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
   }
   if (!SupportsGlobalPowerFallback(dec)) {
     return Status::FailedPrecondition(
-        "decomposition lacks H11/H22 (model predates format v2); global "
-        "power fallback unavailable");
+        "decomposition lacks H11/H22; global power fallback unavailable");
   }
   TraceSpan fallback_span("query.power_fallback");
   Timer hop_timer;

@@ -150,8 +150,9 @@ class ResilientSchurSolver {
   const TerminalStages* terminal_;
 };
 
-/// Whether `dec` retains the blocks needed by GlobalPowerFallback (models
-/// serialized before format v2 lack H11/H22 and cannot take that stage).
+/// Whether `dec` retains the blocks needed by GlobalPowerFallback (H11 and
+/// H22; preprocessing and every model load provide them, a decomposition
+/// assembled by hand may not).
 bool SupportsGlobalPowerFallback(const HubSpokeDecomposition& dec);
 
 /// The power stage: power iteration r <- (I - H) r + cq on the full

@@ -77,18 +77,15 @@ real_t TopKBoundTables::R1RowBound(index_t row, real_t r2_max) const {
 
 TopKBoundTables BuildTopKBoundTables(const HubSpokeDecomposition& dec) {
   TopKBoundTables t;
-  // Models loaded without a block layout (files predating the "blocks"
-  // section) fall back to one block spanning every spoke: L1/U1 are block
-  // diagonal, hence trivially diagonal w.r.t. the single block, so every
-  // bound stays valid — spoke pruning just becomes all-or-nothing.
-  std::vector<index_t> sizes = dec.block_sizes;
-  if (sizes.empty() && dec.n1 > 0) sizes.push_back(dec.n1);
+  // Preprocessing and every model load provide blocks that tile the
+  // spokes.
+  const std::vector<index_t>& sizes = dec.block_sizes;
   const std::size_t nb = sizes.size();
   t.block_start.resize(nb + 1, 0);
   for (std::size_t b = 0; b < nb; ++b) {
     t.block_start[b + 1] = t.block_start[b] + sizes[b];
   }
-  BEPI_CHECK(nb == 0 || t.block_start[nb] == dec.n1);
+  BEPI_CHECK(t.block_start[nb] == dec.n1);
   t.row_block.resize(static_cast<std::size_t>(dec.n1));
   for (std::size_t b = 0; b < nb; ++b) {
     for (index_t i = t.block_start[b]; i < t.block_start[b + 1]; ++i) {

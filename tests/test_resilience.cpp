@@ -16,7 +16,6 @@
 #include "solver/ilu0.hpp"
 #include "solver/power.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/io.hpp"
 #include "test_util.hpp"
 
 namespace bepi {
@@ -380,7 +379,7 @@ TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
   std::stringstream stream;
   ASSERT_TRUE(solver.Save(stream).ok());
-  EXPECT_EQ(stream.str().rfind("BEPI-MODEL v3", 0), 0u);
+  EXPECT_EQ(stream.str().rfind(BepiSolver::kModelMagic, 0), 0u);
   auto loaded = BepiSolver::Load(stream);
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(SupportsGlobalPowerFallback(loaded->decomposition()));
@@ -391,42 +390,6 @@ TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(stats.report.attempts.back().stage, "power");
   EXPECT_LT(DistL1(*r, Reference(23)), 1e-6);
-}
-
-TEST_F(DegradationChainTest, V1ModelLoadsWithoutPowerFallback) {
-  BepiSolver solver(BepiOptions{});
-  ASSERT_TRUE(solver.Preprocess(graph_).ok());
-  // Save now writes the sectioned v3 format, so reconstruct the legacy v1
-  // plain-text stream (options, sizes, permutation, seven matrices — no
-  // H11/H22 blocks) to check pre-fallback models still load.
-  const HubSpokeDecomposition& dec = solver.decomposition();
-  std::ostringstream text;
-  text << "BEPI-MODEL v1\n";
-  text.precision(17);
-  text << 2 << " " << 0.05 << " " << 1e-9 << " " << 10000 << " " << 100
-       << " " << solver.effective_hub_ratio() << "\n";
-  text << dec.n << " " << dec.n1 << " " << dec.n2 << " " << dec.n3 << "\n";
-  for (index_t i = 0; i < dec.n; ++i) {
-    text << dec.perm[static_cast<std::size_t>(i)]
-         << (i + 1 == dec.n ? '\n' : ' ');
-  }
-  for (const CsrMatrix* m : {&dec.l1_inv, &dec.u1_inv, &dec.h12, &dec.h21,
-                             &dec.h31, &dec.h32, &dec.schur}) {
-    ASSERT_TRUE(WriteMatrixMarket(*m, text).ok());
-  }
-  std::stringstream v1(text.str());
-  auto loaded = BepiSolver::Load(v1);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE(SupportsGlobalPowerFallback(loaded->decomposition()));
-  // A healthy query still works...
-  auto healthy = loaded->Query(23);
-  ASSERT_TRUE(healthy.ok());
-  EXPECT_LT(DistL1(*healthy, Reference(23)), 1e-6);
-  // ...and a fully faulted one fails cleanly instead of crashing.
-  FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
-  auto r = loaded->Query(23);
-  EXPECT_EQ(r.status().code(), StatusCode::kNotConverged);
 }
 
 // ---------------------------------------------------------------------------

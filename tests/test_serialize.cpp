@@ -1,6 +1,8 @@
 // Save/Load round-trips of the preprocessed BePI model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "core/bepi.hpp"
@@ -101,14 +103,28 @@ TEST(Serialize, LoadRejectsGarbage) {
     EXPECT_EQ(BepiSolver::Load(wrong).status().code(), StatusCode::kIoError);
   }
   {
-    std::stringstream truncated("BEPI-MODEL v1\n2 0.05 1e-9 100 100 0.2\n");
+    std::stringstream truncated("BEPI-MODEL v4\n%section options 48 0");
     EXPECT_FALSE(BepiSolver::Load(truncated).ok());
   }
   {
-    // Inconsistent partition sizes.
-    std::stringstream bad_sizes(
-        "BEPI-MODEL v1\n2 0.05 1e-9 100 100 0.2\n10 3 3 3\n");
-    EXPECT_FALSE(BepiSolver::Load(bad_sizes).ok());
+    // Inconsistent partition sizes behind a valid checksum: n1 + n2 + n3
+    // (bytes 8..32 of the perm section) no longer adds up to n.
+    Graph g = test::SmallRmat(30, 120, 0.2, 1057);
+    BepiSolver original(BepiOptions{});
+    ASSERT_TRUE(original.Preprocess(g).ok());
+    std::stringstream stream;
+    ASSERT_TRUE(original.Save(stream).ok());
+    auto loaded = BepiSolver::Load(test::ReframeSection(
+        stream.str(), BepiSolver::kModelMagic, "perm", [](std::string* p) {
+          std::uint64_t n1 = 0;
+          std::memcpy(&n1, p->data() + 8, sizeof(n1));
+          ++n1;
+          std::memcpy(p->data() + 8, &n1, sizeof(n1));
+        }));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().ToString().find("partition sizes"),
+              std::string::npos)
+        << loaded.status().ToString();
   }
   EXPECT_EQ(BepiSolver::LoadFile("/nonexistent/model").status().code(),
             StatusCode::kIoError);
@@ -120,15 +136,19 @@ TEST(Serialize, LoadRejectsTamperedPermutation) {
   ASSERT_TRUE(original.Preprocess(g).ok());
   std::stringstream stream;
   ASSERT_TRUE(original.Save(stream).ok());
-  std::string text = stream.str();
-  // Corrupt the permutation line (third line) by repeating an id.
-  std::size_t pos = 0;
-  for (int newline = 0; newline < 3; ++newline) pos = text.find('\n', pos) + 1;
-  text[pos] = text[pos + 2];  // clobber a digit
-  std::stringstream tampered(text);
+  // Repeat an id in the permutation behind a valid checksum: the section
+  // is n, n1, n2, n3 and the index width (8 bytes each), then the entries.
+  const std::string tampered = test::ReframeSection(
+      stream.str(), BepiSolver::kModelMagic, "perm", [](std::string* p) {
+        std::uint64_t width = 0;
+        std::memcpy(&width, p->data() + 32, sizeof(width));
+        ASSERT_LE(40 + 2 * width, p->size());
+        std::memcpy(p->data() + 40 + width, p->data() + 40, width);
+      });
   auto loaded = BepiSolver::Load(tampered);
-  // Either the permutation check or a matrix shape check must fire.
-  EXPECT_FALSE(loaded.ok());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("permutation"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace

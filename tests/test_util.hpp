@@ -7,10 +7,14 @@
 
 #include <cctype>
 #include <cstddef>
+#include <functional>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/sections.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "sparse/coo.hpp"
@@ -18,6 +22,28 @@
 #include "sparse/dense.hpp"
 
 namespace bepi::test {
+
+/// Re-frames a section-framed file with `edit` applied to the payload of
+/// section `name`. Checksums and the manifest are recomputed, so only the
+/// payload decoder can notice the damage.
+inline std::string ReframeSection(
+    const std::string& framed, std::string_view magic, std::string_view name,
+    const std::function<void(std::string*)>& edit) {
+  auto reader = SectionReader::Open(framed, magic);
+  BEPI_CHECK(reader.ok());
+  std::ostringstream out;
+  SectionWriter writer(out, magic);
+  for (;;) {
+    auto next = reader->Next();
+    BEPI_CHECK(next.ok());
+    if (!next->has_value()) break;
+    std::string payload((*next)->payload);
+    if ((*next)->name == name) edit(&payload);
+    BEPI_CHECK(writer.Add((*next)->name, payload).ok());
+  }
+  BEPI_CHECK(writer.Finish().ok());
+  return out.str();
+}
 
 /// Random sparse matrix with the given density; values uniform in [-1, 1).
 inline CsrMatrix RandomSparse(index_t rows, index_t cols, real_t density,

@@ -96,7 +96,8 @@ const CommandHelp kCommands[] = {
      "           [--k=0.2] [--c=0.05] [--tol=1e-9] [--checkpoint-dir=DIR]",
      "bepi_cli preprocess — run BePI preprocessing, save a model file\n"
      "  --graph=FILE          input edge list (required)\n"
-     "  --model=FILE          output model path, format v3 (required)\n"
+     "  --model=FILE          output model path, format v4: raw arrays in\n"
+     "                        checksummed sections (required)\n"
      "  --mode=MODE           bepi (ILU(0)+GMRES, default), bepi-s, bepi-b\n"
      "  --k=X                 hub ratio; 0 = the mode's paper default\n"
      "  --c=X                 restart probability (default 0.05)\n"
@@ -114,14 +115,15 @@ const CommandHelp kCommands[] = {
      "           [--topk=10] [--stats --num-queries=N]\n"
      "           [--engine=mc --graph=FILE --walks=N --eps=E]",
      "bepi_cli query — answer RWR queries against a saved model\n"
-     "  --model=FILE       model file from `preprocess` (required unless\n"
-     "                     --engine=mc)\n"
+     "  --model=FILE       model file from `preprocess` (required; not\n"
+     "                     with --engine=mc)\n"
      "  --seed-node=ID     single seed: print its top-k ranking\n"
      "  --seeds-file=FILE  batch mode: one seed id per line ('#' comments\n"
      "                     and blank lines ignored), answered concurrently\n"
      "                     over the thread pool (--threads) with reused\n"
      "                     per-slot solver workspaces\n"
-     "  --topk=K           ranking length (default 10)\n"
+     "  --topk=K           ranking length of a single-seed dense query\n"
+     "                     (default 10)\n"
      "  --top-k=K          top-k QUERY mode: answer with the k best nodes\n"
      "                     via pruned back-substitution instead of a full\n"
      "                     vector. Exact by default (scores byte-identical\n"
@@ -155,7 +157,8 @@ const CommandHelp kCommands[] = {
      "                     it replaces the model; with the exact engine it\n"
      "                     additionally arms the Monte-Carlo terminal\n"
      "                     fallback stage of the degradation chain\n"
-     "  --walks=N          walk budget (default 100000)\n"
+     "  --walks=N          walk budget (default 100000); --walks, --delta\n"
+     "                     and --walk-seed need --graph or --engine=mc\n"
      "  --eps=E            anytime target: stop when the per-coordinate\n"
      "                     Hoeffding half-width reaches E (default 0 = run\n"
      "                     the whole budget)\n"
@@ -301,11 +304,12 @@ const CommandHelp kCommands[] = {
      "verify-model --model=FILE",
      "bepi_cli verify-model — per-section integrity fsck of a model file\n"
      "  --model=FILE     model path (required)\n"
-     "checks every v3 section against its stored CRC32C; pre-v3 models\n"
-     "get a full load check instead. Also loads the model and reports\n"
+     "reads the model once and checks every section against its stored\n"
+     "CRC32C (a v1-v3 model fails with the loader's error: re-run\n"
+     "`preprocess`). Then loads the model from the same bytes and reports\n"
      "where the ILU(0) kernel level schedules came from — `model\n"
-     "(validated)` for a healthy kernel section vs `rebuilt (...)` for an\n"
-     "absent or stale one — so operators can tell the two apart.\n"
+     "(validated)` for a healthy kernel section vs `rebuilt (...)` for a\n"
+     "stale one — so operators can tell the two apart.\n"
      "example:\n"
      "  bepi_cli verify-model --model=/tmp/m.txt\n"},
     {"help",
@@ -448,6 +452,9 @@ const std::map<std::string, std::vector<FlagSpec>>& CommandFlagSpecs() {
 /// error naming the flag instead.
 Status CheckQueryFlagCombinations(const Flags& flags) {
   const bool mc = flags.GetString("engine", "exact") == "mc";
+  const bool walks = mc || flags.Has("graph");
+  const bool single_dense =
+      !flags.Has("seeds-file") && !flags.Has("stats") && !flags.Has("top-k");
   const struct {
     const char* flag;
     bool honoured;
@@ -458,10 +465,23 @@ Status CheckQueryFlagCombinations(const Flags& flags) {
        "probability)"},
       {"deadline-ms", mc, "applies only to --engine=mc"},
       {"eps", mc || flags.Has("top-k"), "needs --top-k (or --engine=mc)"},
+      {"walks", walks, "needs --graph (the MC fallback) or --engine=mc"},
+      {"delta", walks, "needs --graph (the MC fallback) or --engine=mc"},
+      {"walk-seed", walks, "needs --graph (the MC fallback) or --engine=mc"},
+      {"warm-start", !mc && flags.Has("graph"),
+       "needs --graph to arm the MC engine (and not --engine=mc)"},
+      {"model", !mc, "is not read by --engine=mc (it walks --graph)"},
+      {"seeds-file", !mc, "cannot be combined with --engine=mc"},
+      {"stats", !mc, "cannot be combined with --engine=mc"},
+      {"num-queries", flags.Has("stats"), "needs --stats"},
       {"top-k", !mc && !flags.Has("stats"),
        "cannot be combined with --stats or --engine=mc"},
-      {"dump-scores",
-       !flags.Has("seeds-file") && !flags.Has("stats") && !flags.Has("top-k"),
+      {"topk-via", flags.Has("top-k"), "needs --top-k"},
+      {"dump-topk", flags.Has("top-k"), "needs --top-k"},
+      {"topk", single_dense,
+       "sets the ranking of a single-seed dense query (not --seeds-file, "
+       "--stats or --top-k; use --top-k=K for top-k queries)"},
+      {"dump-scores", single_dense,
        "needs a single-seed dense query (not --seeds-file, --stats or "
        "--top-k)"},
   };
@@ -685,27 +705,11 @@ int CmdVerifyModel(const Flags& flags) {
   if (model_path.empty()) return Usage();
   auto content = ReadFileToString(model_path);
   if (!content.ok()) return Fail(content.status());
-  std::istringstream peek(*content);
-  std::string header;
-  std::getline(peek, header);
-  if (header.rfind("BEPI-MODEL v3", 0) != 0) {
-    // Pre-v3 formats carry no checksums; the strongest available check is
-    // a full parse.
-    std::printf("%s: %s (no per-section checksums; running full load "
-                "check)\n", model_path.c_str(),
-                header.rfind("BEPI-MODEL", 0) == 0 ? header.c_str()
-                                                   : "unrecognized header");
-    std::istringstream in(*content);
-    auto solver = BepiSolver::Load(in);
-    if (!solver.ok()) return Fail(solver.status());
-    std::printf("load check passed (n=%lld)\n",
-                static_cast<long long>(solver->decomposition().n));
-    std::printf("kernel schedules: %s\n",
-                solver->kernel_schedule_origin().c_str());
-    return 0;
-  }
-  std::istringstream in(*content);
-  const IntegrityReport report = CheckIntegrity(in, "BEPI-MODEL");
+  const IntegrityReport report =
+      CheckIntegrity(*content, BepiSolver::kModelMagic);
+  // Not a v4 header: the loader names the format version (or the
+  // stranger) and says what to do about it.
+  if (report.magic.empty()) return Fail(BepiSolver::Load(*content).status());
   std::printf("%s: %s, %zu sections\n", model_path.c_str(),
               report.magic.c_str(), report.sections.size());
   Table table({"section", "offset", "bytes", "crc32c", "status"});
@@ -728,10 +732,10 @@ int CmdVerifyModel(const Flags& flags) {
   if (!report.overall.ok()) return Fail(report.overall);
   std::printf("all sections verified\n");
   // Checksums prove the bytes are intact; only a real load proves the
-  // kernel section's level schedules still match the recomputed ILU(0)
-  // pattern. Report which one the query path would actually run with.
-  std::istringstream reload(*content);
-  auto solver = BepiSolver::Load(reload);
+  // arrays decode and validate (shapes, permutation, ILU(0) pivots) and
+  // that the kernel section's level schedules match the factor pattern.
+  // Report which schedules the query path would actually run with.
+  auto solver = BepiSolver::Load(*content);
   if (!solver.ok()) return Fail(solver.status());
   std::printf("kernel schedules: %s\n",
               solver->kernel_schedule_origin().c_str());
