@@ -164,13 +164,9 @@ Status DecodeReorder(const CheckpointSections& sections,
   BEPI_ASSIGN_OR_RETURN(const std::string* blocks,
                         FindPayload(sections, "blocks"));
   BEPI_RETURN_IF_ERROR(DecodeIndexVector(*blocks, &dec->block_sizes));
-  index_t block_sum = 0;
-  for (index_t size : dec->block_sizes) {
-    if (size <= 0) return Status::DataLoss("non-positive block size");
-    block_sum += size;
-  }
   if (n != dec->n || dec->n1 < 0 || dec->n2 < 0 || dec->n3 < 0 ||
-      dec->n1 + dec->n2 + dec->n3 != dec->n || block_sum != dec->n1 ||
+      dec->n1 + dec->n2 + dec->n3 != dec->n ||
+      !BlocksTileSpokes(dec->block_sizes, dec->n1) ||
       static_cast<index_t>(dec->perm.size()) != dec->n ||
       !IsPermutation(dec->perm)) {
     return Status::DataLoss("reorder checkpoint is inconsistent");
@@ -298,6 +294,16 @@ Vector Unslice(const SlicedVector& r, index_t j,
     }
   }
   return out;
+}
+
+bool BlocksTileSpokes(const std::vector<index_t>& sizes, index_t n1) {
+  // Subtracts rather than sums, so hostile sizes cannot overflow.
+  index_t left = n1;
+  for (index_t size : sizes) {
+    if (size <= 0 || size > left) return false;
+    left -= size;
+  }
+  return left == 0;
 }
 
 std::uint64_t HubSpokeDecomposition::CommonBytes() const {

@@ -104,6 +104,11 @@ struct HubSpokeDecomposition {
   std::uint64_t CommonBytes() const;
 };
 
+/// Whether the H11 block sizes `sizes` are all positive and sum to exactly
+/// `n1`, the spoke count. Checked wherever block sizes are read back (model
+/// load, reorder checkpoint).
+bool BlocksTileSpokes(const std::vector<index_t>& sizes, index_t n1);
+
 /// Column j of `r` in original node ids (Algorithm 4, line 7); entry i of
 /// the concatenated slices lands at inverse_perm[i].
 Vector Unslice(const SlicedVector& r, index_t j,

@@ -65,10 +65,14 @@ Status CscMatrix::Validate() const {
       row_idx_.size() != values_.size()) {
     return Status::InvalidArgument("nnz arrays inconsistent with col_ptr");
   }
+  // Each column's range is checked before row_idx is read through it, as
+  // in CsrMatrix::Validate.
+  const auto nnz = static_cast<index_t>(row_idx_.size());
   for (index_t c = 0; c < cols_; ++c) {
     const index_t begin = col_ptr_[static_cast<std::size_t>(c)];
     const index_t end = col_ptr_[static_cast<std::size_t>(c) + 1];
     if (begin > end) return Status::InvalidArgument("col_ptr not monotone");
+    if (end > nnz) return Status::InvalidArgument("col_ptr exceeds nnz");
     for (index_t p = begin; p < end; ++p) {
       const index_t r = row_idx_[static_cast<std::size_t>(p)];
       if (r < 0 || r >= rows_) {

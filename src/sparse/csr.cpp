@@ -348,10 +348,15 @@ Status CsrMatrix::Validate() const {
       col_idx_.size() != values_.size()) {
     return Status::InvalidArgument("nnz arrays inconsistent with row_ptr");
   }
+  // Arrays may come from a model file, so each row's range is checked
+  // before col_idx is read through it: begin is the previous row's checked
+  // end (or 0), and end must stay within the nnz entries.
+  const auto nnz = static_cast<index_t>(col_idx_.size());
   for (index_t r = 0; r < rows_; ++r) {
     const index_t begin = row_ptr_[static_cast<std::size_t>(r)];
     const index_t end = row_ptr_[static_cast<std::size_t>(r) + 1];
     if (begin > end) return Status::InvalidArgument("row_ptr not monotone");
+    if (end > nnz) return Status::InvalidArgument("row_ptr exceeds nnz");
     for (index_t p = begin; p < end; ++p) {
       const index_t c = col_idx_[static_cast<std::size_t>(p)];
       if (c < 0 || c >= cols_) {

@@ -95,8 +95,9 @@ class CsrMatrix {
   /// Approximate in-memory footprint of the CSR arrays in bytes.
   std::uint64_t ByteSize() const;
 
-  /// Internal-consistency check (monotone row_ptr, sorted unique columns,
-  /// in-range indices). Used by tests and after deserialization.
+  /// Internal-consistency check (monotone row_ptr within nnz, sorted
+  /// unique columns, in-range indices). Safe on arbitrary arrays: used by
+  /// tests and after deserialization.
   Status Validate() const;
 
  private:

@@ -95,6 +95,11 @@ TEST(Csr, FromPartsValidates) {
   // Duplicate column in a row.
   auto bad4 = CsrMatrix::FromParts(1, 3, {0, 2}, {1, 1}, {1.0, 1.0});
   EXPECT_FALSE(bad4.ok());
+  // A row reaching past nnz (with ascending columns up to it) is rejected
+  // before col_idx is read out of bounds.
+  auto bad5 = CsrMatrix::FromParts(2, 3, {0, 3, 2}, {0, 1}, {1.0, 1.0});
+  ASSERT_FALSE(bad5.ok());
+  EXPECT_NE(bad5.status().message().find("exceeds nnz"), std::string::npos);
   // Good input passes.
   auto good = CsrMatrix::FromParts(2, 2, {0, 1, 2}, {1, 0}, {1.0, 2.0});
   ASSERT_TRUE(good.ok());

@@ -30,6 +30,10 @@ TEST(Csc, MultiplyMatchesCsr) {
 TEST(Csc, FromPartsValidates) {
   auto bad = CscMatrix::FromParts(3, 1, {0, 2}, {2, 0}, {1.0, 1.0});
   EXPECT_FALSE(bad.ok());
+  // A column reaching past nnz is rejected before row_idx is read out of
+  // bounds.
+  auto bad2 = CscMatrix::FromParts(3, 2, {0, 3, 2}, {0, 1}, {1.0, 1.0});
+  EXPECT_FALSE(bad2.ok());
   auto good = CscMatrix::FromParts(3, 1, {0, 2}, {0, 2}, {1.0, 1.0});
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good->nnz(), 2);
