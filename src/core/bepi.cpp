@@ -411,16 +411,6 @@ void BepiSolver::Finish(const QueryRequest& request, QueryReport report,
   }
 }
 
-ResilientSolveOptions BepiSolver::ChainOptions(real_t tol) const {
-  ResilientSolveOptions ropts;
-  ropts.tol = tol;
-  ropts.max_iters = options_.max_iterations;
-  ropts.gmres_restart = options_.gmres_restart;
-  ropts.enable_fallbacks = options_.enable_fallbacks;
-  ropts.inner_solver = options_.inner_solver;
-  return ropts;
-}
-
 Result<std::vector<QueryResult>> BepiSolver::Solve(
     std::span<const QueryRequest> requests, GmresWorkspace* workspace) const {
   if (!preprocessed_) return Status::FailedPrecondition("Preprocess not called");
@@ -428,182 +418,144 @@ Result<std::vector<QueryResult>> BepiSolver::Solve(
   // same results either way; see sparse/kernel.hpp).
   BEPI_CHECK(kernels_ != nullptr);
   std::vector<QueryResult> results(requests.size());
-  // Coalescing needs a Schur system, and covers only requests whose solve
-  // is the first stage's plain zero-start solve at the model's tolerance:
-  // an eps request truncates at its own tolerance and a warm-started one
-  // starts from its own iterate, so both run alone.
-  const bool can_block = requests.size() >= 2 && dec_.n2 > 0;
-  std::vector<std::size_t> block, alone;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const QueryRequest& request = requests[i];
-    results[i].status = Validate(request);
-    if (!results[i].status.ok()) continue;
-    const bool blockable = can_block && RequestEps(request) == 0.0 &&
-                           !(request.control.warm_start_mc && mc_ != nullptr);
-    (blockable ? block : alone).push_back(i);
-  }
-  const std::vector<std::size_t> unblocked =
-      block.size() >= 2 ? SolveCoalesced(requests, block, &results) : block;
-  alone.insert(alone.end(), unblocked.begin(), unblocked.end());
-  for (std::size_t i : alone) SolveAlone(requests[i], workspace, &results[i]);
-  return results;
-}
-
-void BepiSolver::SolveAlone(const QueryRequest& request,
-                            GmresWorkspace* workspace, QueryResult* out) const {
-  Timer timer;
-  TraceSpan query_span("query");
-  const QueryControl& control = request.control;
-  if (control.request_id != nullptr) {
-    query_span.Arg("request_id", std::string(control.request_id));
-  }
-  const real_t eps = RequestEps(request);
-  SlicedVector cq = Restart({&request});
-  const Vector q2_tilde = SchurRhs(cq);
-
-  // Solve S r2 = q2~ through the degradation chain (line 4). Eps mode
-  // truncates the Schur solve at the user's tolerance; the honest
-  // sup-norm consequence is computed from the true residual below.
-  ResilientSolveOptions ropts =
-      ChainOptions(eps > 0.0 ? eps : options_.tolerance);
-  ropts.gmres_workspace = workspace;
-  ropts.cancel = control.cancel;
-  ropts.allow_partial = control.allow_partial;
-  ropts.request_id = control.request_id;
-  Vector warm_x0;
-  if (McWarmStart(control, cq, &warm_x0)) ropts.x0 = &warm_x0;
-  const TerminalStages terminal{&dec_, &inverse_perm_, options_.restart_prob,
-                                mc_, mc_fallback_options_};
-  const KernelCsrOperator schur_op(kernels_->schur);
-  QueryReport report;
-  bool full = false;
-  Result<Vector> x = Vector();
-  if (dec_.n2 > 0) {
-    x = ResilientSchurSolver(dec_.schur, preconditioner(), ropts, &schur_op,
-                             &terminal)
-            .Solve(q2_tilde, &report, &cq, &full);
-  }
-  const bool expired =
-      !x.ok() && (x.status().code() == StatusCode::kCancelled ||
-                  x.status().code() == StatusCode::kDeadlineExceeded);
-  if (control.cancel != nullptr &&
-      (expired || (x.ok() && report.final_outcome == SolveOutcome::kCancelled &&
-                   !control.allow_partial))) {
-    // The deadline/cancellation fired and the caller did not opt into
-    // partial results: surface the token's Status instead of a vector,
-    // with honest stats — the cancelled attempt's residual is the error
-    // bound of the iterate being discarded.
-    out->status = control.cancel->ToStatus("query");
-    Finish(request, std::move(report), timer.Seconds(), 0.0, out);
-    return;
-  }
-  if (!x.ok()) {
-    out->status = x.status();
-    return;
-  }
-
-  real_t error_bound = 0.0;
-  if (full) {
-    // A terminal stage built the full reordered vector: no back-
-    // substitution. It owes a bound when one was asked for — the MC
-    // half-width already is a per-coordinate bound, the power residual
-    // is not.
-    const SolveAttempt& producing = report.attempts.back();
-    if (eps > 0.0 || request.topk.k > 0) {
-      error_bound = producing.stage == "power"
-                        ? PowerScoreBound(dec_, cq, *x, options_.restart_prob)
-                        : producing.residual;
-    }
-    out->scores =
-        Unslice(SlicedVector{1, std::move(*x), {}, {}}, 0, inverse_perm_);
-  } else {
-    // The honest eps-mode bound is computed from the iterate the chain
-    // actually hands to back-substitution, partial iterates included; an
-    // exact-mode partial top-k reports the same residual-derived bound.
-    if (eps > 0.0) error_bound = EpsErrorBound(q2_tilde, *x);
-    const real_t topk_bound =
-        error_bound == 0.0 && request.topk.k > 0 &&
-                report.final_outcome == SolveOutcome::kCancelled
-            ? EpsErrorBound(q2_tilde, *x)
-            : error_bound;
-    BackSubstitute({&request}, std::move(cq), std::move(*x), {topk_bound},
-                   {out});
-  }
-  query_span.Arg("fallback_hops", report.fallback_hops());
-  query_span.Arg("iterations", report.total_iterations());
-  Finish(request, std::move(report), timer.Seconds(), error_bound, out);
-}
-
-std::vector<std::size_t> BepiSolver::SolveCoalesced(
-    std::span<const QueryRequest> requests,
-    const std::vector<std::size_t>& batch,
-    std::vector<QueryResult>* results) const {
-  Timer timer;
-  TraceSpan query_span("query");
-  query_span.Arg("width", static_cast<index_t>(batch.size()));
-  std::vector<const QueryRequest*> batch_requests;
-  for (std::size_t i : batch) batch_requests.push_back(&requests[i]);
-  const SlicedVector cq = Restart(batch_requests);
-  const Vector q2_tilde = SchurRhs(cq);
-
-  // The lockstep Schur solve of the chain's first stage.
-  const std::size_t k = batch.size();
-  std::vector<Vector> b(k);
-  std::vector<BlockGmresRhs> rhs(k);
-  std::vector<const char*> request_ids(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    b[j] = SelectColumns(q2_tilde, static_cast<index_t>(k),
-                         {static_cast<index_t>(j)});
-    rhs[j] = BlockGmresRhs{&b[j], batch_requests[j]->control.cancel};
-    request_ids[j] = batch_requests[j]->control.request_id;
-  }
-  const KernelCsrOperator schur_op(kernels_->schur);
-  std::vector<BlockGmresColumn> columns;
-  std::vector<QueryReport> reports;
-  // A first stage that cannot run in lockstep (the BiCGSTAB ablation)
-  // degrades every request to its solo solve.
-  if (!ResilientSchurSolver(dec_.schur, preconditioner(),
-                            ChainOptions(options_.tolerance), &schur_op)
-           .SolveBlock(rhs, request_ids, &columns, &reports)
-           .ok()) {
-    return batch;
-  }
-
-  // Converged columns go on to back-substitution; every other column
-  // re-solves alone through the whole chain, so one stalled, faulted or
-  // cancelled request never poisons its batch.
-  std::vector<std::size_t> unconverged, converged;
-  for (std::size_t j = 0; j < k; ++j) {
-    if (reports[j].attempts.empty()) {
-      unconverged.push_back(batch[j]);
-    } else {
-      converged.push_back(j);
-    }
-  }
-  if (converged.empty()) return unconverged;
-  const std::size_t ks = converged.size();
-  std::vector<const QueryRequest*> solved;
+  std::vector<const QueryRequest*> valid;
   std::vector<QueryResult*> outs;
-  Vector r2(static_cast<std::size_t>(dec_.n2) * ks);
-  for (std::size_t q = 0; q < ks; ++q) {
-    const std::size_t j = converged[q];
-    solved.push_back(batch_requests[j]);
-    outs.push_back(&(*results)[batch[j]]);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(dec_.n2); ++i) {
-      r2[i * ks + q] = columns[j].x[i];
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    results[i].status = Validate(requests[i]);
+    if (!results[i].status.ok()) continue;
+    valid.push_back(&requests[i]);
+    outs.push_back(&results[i]);
+  }
+  if (valid.empty()) return results;
+  Timer timer;
+  TraceSpan query_span("query");
+  const std::size_t k = valid.size();
+  const index_t kw = static_cast<index_t>(k);
+  SlicedVector cq = Restart(valid);
+  const Vector q2_tilde = SchurRhs(cq);
+
+  // Solve S r2 = q2~ for every column through the degradation chain
+  // (line 4). An eps request truncates its column at its own tolerance;
+  // the honest sup-norm consequence is computed from the true residual
+  // below.
+  std::vector<Vector> b(k), warm_x0(k);
+  std::vector<SchurColumn> columns(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const QueryControl& control = valid[j]->control;
+    const real_t eps = RequestEps(*valid[j]);
+    const index_t col = static_cast<index_t>(j);
+    SchurColumn& c = columns[j];
+    c.b = &ColumnOf(q2_tilde, kw, col, &b[j]);
+    c.tol = eps > 0.0 ? eps : options_.tolerance;
+    if (McWarmStart(control, cq, col, &warm_x0[j])) c.x0 = &warm_x0[j];
+    c.cancel = control.cancel;
+    c.allow_partial = control.allow_partial;
+    c.request_id = control.request_id;
+    c.cq = &cq;
+    c.cq_column = col;
+  }
+  if (dec_.n2 > 0) {
+    const TerminalStages terminal{&dec_, &inverse_perm_, options_.restart_prob,
+                                  mc_, mc_fallback_options_};
+    const KernelCsrOperator schur_op(kernels_->schur);
+    const ResilientSolveOptions chain{options_.max_iterations,
+                                      options_.gmres_restart,
+                                      options_.enable_fallbacks,
+                                      options_.inner_solver};
+    BEPI_RETURN_IF_ERROR(ResilientSchurSolver(dec_.schur, preconditioner(),
+                                              chain, &schur_op, &terminal)
+                             .Solve(columns, workspace));
+  }
+
+  // Each column's verdict. Those holding a Schur iterate back-substitute
+  // together; a terminal stage's full vector needs no back-substitution.
+  std::vector<real_t> error_bounds(k, 0.0), topk_bounds;
+  std::vector<std::size_t> krylov;
+  for (std::size_t j = 0; j < k; ++j) {
+    const QueryRequest& request = *valid[j];
+    const QueryControl& control = request.control;
+    SchurColumn& c = columns[j];
+    QueryResult& out = *outs[j];
+    out.coalesced = c.coalesced;
+    const real_t eps = RequestEps(request);
+    const bool expired = c.status.code() == StatusCode::kCancelled ||
+                         c.status.code() == StatusCode::kDeadlineExceeded;
+    const bool cancelled = c.report.final_outcome == SolveOutcome::kCancelled;
+    if (control.cancel != nullptr &&
+        (expired || (c.status.ok() && cancelled && !control.allow_partial))) {
+      // The deadline/cancellation fired and the caller did not opt into
+      // partial results: surface the token's Status instead of a vector,
+      // with honest stats — the cancelled attempt's residual is the error
+      // bound of the iterate being discarded.
+      out.status = control.cancel->ToStatus("query");
+    } else if (!c.status.ok()) {
+      out.status = c.status;
+    } else if (c.full) {
+      // A terminal stage built the full reordered vector. It owes a bound
+      // when one was asked for — the MC half-width already is a
+      // per-coordinate bound, the power residual is not.
+      const SolveAttempt& producing = c.report.attempts.back();
+      if (eps > 0.0 || request.topk.k > 0) {
+        error_bounds[j] =
+            producing.stage == "power"
+                ? PowerScoreBound(dec_, cq, static_cast<index_t>(j), c.x,
+                                  options_.restart_prob)
+                : producing.residual;
+      }
+      out.scores =
+          Unslice(SlicedVector{1, std::move(c.x), {}, {}}, 0, inverse_perm_);
+    } else {
+      // The honest eps-mode bound is computed from the iterate the chain
+      // actually hands to back-substitution, partial iterates included; an
+      // exact-mode partial top-k reports the same residual-derived bound.
+      if (eps > 0.0) error_bounds[j] = EpsErrorBound(*c.b, c.x);
+      topk_bounds.push_back(error_bounds[j] == 0.0 && request.topk.k > 0 &&
+                                    cancelled
+                                ? EpsErrorBound(*c.b, c.x)
+                                : error_bounds[j]);
+      krylov.push_back(j);
     }
   }
-  // score bound 0: every column met the model's tolerance, so its hub
-  // scores are as exact as a solo converged solve's.
-  BackSubstitute(solved, Restart(solved), std::move(r2),
-                 std::vector<real_t>(ks, 0.0), outs);
-  const double seconds = timer.Seconds();
-  for (std::size_t q = 0; q < ks; ++q) {
-    outs[q]->coalesced = true;
-    Finish(*solved[q], std::move(reports[converged[q]]), seconds, 0.0,
-           outs[q]);
+  if (!krylov.empty()) {
+    // Lines 5-7 over the Krylov-answered columns as one panel.
+    const std::size_t kk = krylov.size();
+    const std::size_t n2 = static_cast<std::size_t>(dec_.n2);
+    std::vector<const QueryRequest*> solved;
+    std::vector<QueryResult*> solved_outs;
+    for (std::size_t j : krylov) {
+      solved.push_back(valid[j]);
+      solved_outs.push_back(outs[j]);
+    }
+    Vector r2;
+    if (kk == 1) {
+      r2 = std::move(columns[krylov.front()].x);
+    } else {
+      r2.resize(n2 * kk);
+      for (std::size_t q = 0; q < kk; ++q) {
+        const Vector& x = columns[krylov[q]].x;
+        for (std::size_t i = 0; i < n2; ++i) r2[i * kk + q] = x[i];
+      }
+    }
+    BackSubstitute(solved, kk == k ? std::move(cq) : Restart(solved),
+                   std::move(r2), topk_bounds, solved_outs);
   }
-  return unconverged;
+  if (k == 1) {
+    // A single query's span carries its own trace context and chain.
+    const QueryRequest& request = *valid.front();
+    if (request.control.request_id != nullptr) {
+      query_span.Arg("request_id", std::string(request.control.request_id));
+    }
+    query_span.Arg("fallback_hops", columns.front().report.fallback_hops());
+    query_span.Arg("iterations", columns.front().report.total_iterations());
+  } else {
+    query_span.Arg("width", kw);
+  }
+  const double seconds = timer.Seconds();
+  for (std::size_t j = 0; j < k; ++j) {
+    Finish(*valid[j], std::move(columns[j].report), seconds, error_bounds[j],
+           outs[j]);
+  }
+  return results;
 }
 
 real_t BepiSolver::EpsErrorBound(const Vector& q2_tilde,
@@ -620,14 +572,15 @@ real_t BepiSolver::EpsErrorBound(const Vector& q2_tilde,
 }
 
 bool BepiSolver::McWarmStart(const QueryControl& control,
-                             const SlicedVector& cq, Vector* x0) const {
+                             const SlicedVector& cq, index_t j,
+                             Vector* x0) const {
   if (!control.warm_start_mc || mc_ == nullptr || dec_.n2 == 0) return false;
   TraceSpan warm_span("query.mc_warm_start");
   // Recover q in original ids from the scaled slices and run a
   // deliberately small walk budget: the estimate only has to land GMRES
   // inside the basin where one restart cycle finishes the job, not meet a
   // confidence target.
-  Vector q = Unslice(cq, 0, inverse_perm_);
+  Vector q = Unslice(cq, j, inverse_perm_);
   for (real_t& v : q) v *= static_cast<real_t>(1.0) / options_.restart_prob;
   McOptions mo;
   mo.restart_prob = options_.restart_prob;

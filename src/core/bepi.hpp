@@ -110,9 +110,11 @@ struct QueryRequest {
   QueryControl control;
 };
 
-/// Per-request verdict of BepiSolver::Solve. `scores`/`topk`/`stats` are
-/// meaningful only when `status` is ok (stats also on a cancellation).
-/// `coalesced` marks a request answered by the blocked first stage.
+/// Per-request verdict of BepiSolver::Solve. `scores`/`topk` are
+/// meaningful only when `status` is ok; `stats` for every valid request (a
+/// failed or cancelled one still reports its chain).
+/// `coalesced` marks a request whose answering GMRES stage solved two or
+/// more columns together.
 struct QueryResult {
   Status status = Status::Ok();
   Vector scores;
@@ -170,20 +172,21 @@ class BepiSolver final : public RwrSolver {
   Result<Vector> Query(index_t seed, QueryStats* stats,
                        GmresWorkspace* workspace,
                        const QueryControl& control = {}) const;
-  /// Answers every request with Algorithm 4: restart slicing, the Schur
-  /// right-hand side, the Schur stage, back-substitution and reassembly.
-  /// Two or more blockable requests (exact, not warm-started, on a GMRES
-  /// first stage) coalesce: their Schur system is solved by one blocked
-  /// GMRES that streams the matrix ONCE per step for all of them
-  /// (sparse/kernel.hpp SpMM panels) — the bandwidth amortization the
-  /// serve batcher (server/server.hpp) is built on — and their
-  /// back-substitution runs over panels. Every other request, and every
-  /// column the blocked stage did not converge (stagnation, NaN,
-  /// cancellation, injected faults), runs alone through the whole
-  /// degradation chain under its own QueryControl on `workspace`. Each
-  /// result is bit-identical to the same request solved alone. The
+  /// Answers every request with Algorithm 4 along one path: restart
+  /// slicing, the Schur right-hand side, the Schur stage, back-substitution
+  /// and reassembly, each over all requests at once (a single query is a
+  /// batch of one). Every valid request is one column of one degradation-
+  /// chain solve (core/resilient.hpp) under its own QueryControl: an eps
+  /// request carries its own tolerance, an MC-warm-started one its own
+  /// initial iterate. Each GMRES stage solves its columns together and
+  /// streams S once per step for all of them (sparse/kernel.hpp SpMM
+  /// panels) — the bandwidth amortization the serve batcher
+  /// (server/server.hpp) is built on — and the columns a Krylov stage
+  /// answered back-substitute as one panel. Each result is bit-identical
+  /// to the same request solved alone; QueryResult::coalesced marks the
+  /// ones whose answering GMRES stage ran two or more columns. The
   /// returned Status covers batch-level preconditions only; per-request
-  /// failures land in each QueryResult::status.
+  /// failures land in each QueryResult::status, with stats.
   Result<std::vector<QueryResult>> Solve(
       std::span<const QueryRequest> requests,
       GmresWorkspace* workspace = nullptr) const;
@@ -276,27 +279,15 @@ class BepiSolver final : public RwrSolver {
   /// request that a terminal stage answered with the full vector.
   void Finish(const QueryRequest& request, QueryReport report, double seconds,
               real_t error_bound, QueryResult* out) const;
-  /// One request through the whole chain on `workspace`.
-  void SolveAlone(const QueryRequest& request, GmresWorkspace* workspace,
-                  QueryResult* out) const;
-  /// The requests `batch` (two or more) through the blocked first stage;
-  /// returns those whose column did not converge there.
-  std::vector<std::size_t> SolveCoalesced(
-      std::span<const QueryRequest> requests,
-      const std::vector<std::size_t>& batch,
-      std::vector<QueryResult>* results) const;
-  /// The chain configuration for a Schur tolerance `tol`.
-  ResilientSolveOptions ChainOptions(real_t tol) const;
-
   /// Eps-mode epilogue: computes the true Schur residual of `r2` against
   /// `q2_tilde` and returns the propagated sup-norm score bound.
   real_t EpsErrorBound(const Vector& q2_tilde, const Vector& r2) const;
 
   /// Cheap MC estimate of the hub slice used as the GMRES initial iterate
-  /// (QueryControl::warm_start_mc). Returns false (x0 untouched) when no
-  /// engine is attached or the estimate fails.
+  /// of column j of `cq` (QueryControl::warm_start_mc). Returns false (x0
+  /// untouched) when no engine is attached or the estimate fails.
   bool McWarmStart(const QueryControl& control, const SlicedVector& cq,
-                   Vector* x0) const;
+                   index_t j, Vector* x0) const;
 
   /// The tail of Load: invert the permutation, rebuild the structural
   /// info fields and bind the kernels.

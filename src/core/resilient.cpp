@@ -84,36 +84,46 @@ std::vector<Stage> Chain(bool has_ilu, const ResilientSolveOptions& options) {
   return stages;
 }
 
-/// The full reordered vector of a k == 1 SlicedVector.
-Vector Concat(const SlicedVector& s) {
+/// Column j of `s` as one full reordered vector.
+Vector Concat(const SlicedVector& s, index_t j) {
+  const std::size_t k = static_cast<std::size_t>(s.k);
   Vector v;
-  v.reserve(s.v1.size() + s.v2.size() + s.v3.size());
+  v.reserve((s.v1.size() + s.v2.size() + s.v3.size()) / k);
   for (const Vector* slice : {&s.v1, &s.v2, &s.v3}) {
-    v.insert(v.end(), slice->begin(), slice->end());
+    for (std::size_t p = static_cast<std::size_t>(j); p < slice->size();
+         p += k) {
+      v.push_back((*slice)[p]);
+    }
   }
   return v;
 }
 
-/// The walk stage: q in original ids recovered from the reordered scaled
-/// slices (q[old] = cq[perm[old]] / c), estimated on the raw graph, and
-/// returned in reordered ids with the confidence half-width as the
+/// Why `stage` left a column unanswered.
+Status StageFailed(Stage stage, SolveOutcome outcome, bool enable_fallbacks) {
+  return Status::NotConverged(
+      std::string("Schur solve (") + StageName(stage) + ") ended with " +
+      SolveOutcomeName(outcome) +
+      (enable_fallbacks ? "" : " and fallbacks are disabled"));
+}
+
+/// The walk stage: q in original ids recovered from the column's reordered
+/// scaled slices (q[old] = cq[perm[old]] / c), estimated on the raw graph,
+/// and returned in reordered ids with the confidence half-width as the
 /// attempt's residual.
-Result<Vector> McStage(const TerminalStages& terminal, const SlicedVector& cq,
-                       const ResilientSolveOptions& options,
-                       QueryReport* report) {
+Result<Vector> McStage(const TerminalStages& terminal, SchurColumn* column) {
   TraceSpan hop_span("query.mc_fallback");
   Timer hop_timer;
   const Permutation& inverse_perm = *terminal.inverse_perm;
   const real_t inv_c = static_cast<real_t>(1.0) / terminal.restart_prob;
-  Vector q = Unslice(cq, 0, inverse_perm);
+  Vector q = Unslice(*column->cq, column->cq_column, inverse_perm);
   for (real_t& v : q) v *= inv_c;
   McOptions mo;
   mo.restart_prob = terminal.restart_prob;
   mo.walks = terminal.mc_options.walks;
   mo.delta = terminal.mc_options.delta;
   mo.seed = terminal.mc_options.seed;
-  mo.cancel = options.cancel;
-  mo.allow_partial = options.allow_partial;
+  mo.cancel = column->cancel;
+  mo.allow_partial = column->allow_partial;
   Result<McEstimate> est = terminal.mc->EstimateVector(q, mo);
   SolveAttempt attempt;
   attempt.stage = StageName(Stage::kMc);
@@ -131,7 +141,7 @@ Result<Vector> McStage(const TerminalStages& terminal, const SlicedVector& cq,
     attempt.residual = 1.0;  // an estimate that never ran bounds nothing
   }
   attempt.seconds = hop_timer.Seconds();
-  Record(&hop_span, attempt, options.request_id, report);
+  Record(&hop_span, attempt, column->request_id, &column->report);
   if (!est.ok()) return est.status();
   const Vector& scores = est.value().scores;
   Vector r(inverse_perm.size());
@@ -151,122 +161,124 @@ ResilientSchurSolver::ResilientSchurSolver(const CsrMatrix& schur,
     : schur_(schur), ilu_(ilu), options_(options), op_(op),
       terminal_(terminal) {}
 
-Result<Vector> ResilientSchurSolver::Solve(const Vector& b,
-                                           QueryReport* report,
-                                           const SlicedVector* cq,
-                                           bool* full) const {
-  if (static_cast<index_t>(b.size()) != schur_.rows()) {
-    return Status::InvalidArgument("Schur rhs size mismatch");
+Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
+                                   GmresWorkspace* workspace) const {
+  std::vector<SchurColumn*> pending;
+  for (SchurColumn& c : columns) {
+    if (c.b == nullptr || static_cast<index_t>(c.b->size()) != schur_.rows()) {
+      return Status::InvalidArgument("Schur rhs size mismatch");
+    }
+    c.status = Status::NotConverged(
+        "every stage of the Schur degradation chain failed");
+    pending.push_back(&c);
   }
   CsrOperator fallback_op(schur_);
   const LinearOperator& op = op_ != nullptr ? *op_ : fallback_op;
-  const bool terminal = terminal_ != nullptr && cq != nullptr;
-  Status failure = Status::NotConverged(
-      "every stage of the Schur degradation chain failed");
   for (const Stage stage : Chain(ilu_ != nullptr, options_)) {
-    if (stage == Stage::kPower || stage == Stage::kMc) {
-      if (!terminal || (stage == Stage::kMc && terminal_->mc == nullptr)) {
-        continue;
+    if (pending.empty()) break;
+    std::vector<SchurColumn*> unanswered;
+    // A Krylov stage answers a column when it converged, and also when it
+    // was cancelled: degrading further would only burn more time past the
+    // deadline, so the interrupted stage's best iterate (its residual in
+    // the recorded attempt) is the answer.
+    const auto settle = [&](SchurColumn* c, const SolveStats& stats,
+                            Vector* x) {
+      if (stats.converged || stats.outcome == SolveOutcome::kCancelled) {
+        c->status = Status::Ok();
+        c->x = std::move(*x);
+        return true;
       }
-      Result<Vector> r =
-          stage == Stage::kPower
-              ? GlobalPowerFallback(*terminal_->dec, Concat(*cq), options_,
-                                    report)
-              : McStage(*terminal_, *cq, options_, report);
-      if (stage == Stage::kPower && !r.ok() &&
-          r.status().code() == StatusCode::kNotConverged) {
-        failure = r.status();
-        continue;
+      c->status = StageFailed(stage, stats.outcome, options_.enable_fallbacks);
+      unanswered.push_back(c);
+      return false;
+    };
+    if (stage == Stage::kIluGmres || stage == Stage::kJacobiGmres) {
+      // One Gmres call over every column still unanswered.
+      TraceSpan hop_span("schur.hop");
+      Timer hop_timer;
+      // Jacobi: the Schur complement of an RWR system is a nonsingular
+      // M-matrix, so its diagonal is safe to invert; this stage survives
+      // any ILU(0) breakdown or ILU-induced NaN.
+      std::optional<JacobiPreconditioner> jacobi;
+      if (stage == Stage::kJacobiGmres) jacobi.emplace(schur_);
+      const Preconditioner* m =
+          jacobi.has_value() ? static_cast<const Preconditioner*>(&*jacobi)
+                             : ilu_;
+      GmresSettings gm;
+      gm.max_iters = options_.max_iters;
+      gm.restart = options_.gmres_restart;
+      std::vector<GmresColumn> solves(pending.size());
+      for (std::size_t j = 0; j < pending.size(); ++j) {
+        solves[j].b = pending[j]->b;
+        solves[j].x0 = pending[j]->x0;
+        solves[j].tol = pending[j]->tol;
+        solves[j].cancel = pending[j]->cancel;
       }
-      if (r.ok() && full != nullptr) *full = true;
-      return r;
+      BEPI_RETURN_IF_ERROR(Gmres(op, solves, gm, m, workspace));
+      // Every column waited on the whole call: that wall time is the
+      // latency each observed, not a per-column slice of the work. A
+      // width-1 span carries its column's verdict.
+      const double seconds = hop_timer.Seconds();
+      const bool coalesced = solves.size() >= 2;
+      if (coalesced) {
+        hop_span.Arg("stage", std::string(StageName(stage)));
+        hop_span.Arg("width", static_cast<std::int64_t>(solves.size()));
+      }
+      for (std::size_t j = 0; j < pending.size(); ++j) {
+        SchurColumn* c = pending[j];
+        Record(coalesced ? nullptr : &hop_span,
+               MakeAttempt(StageName(stage), solves[j].stats, seconds),
+               c->request_id, &c->report);
+        if (settle(c, solves[j].stats, &solves[j].x)) c->coalesced = coalesced;
+      }
+    } else if (stage == Stage::kBicgstab || stage == Stage::kIluBicgstab) {
+      // BiCGSTAB: a different Krylov recurrence that does not share
+      // GMRES's restart-stagnation failure mode (preconditioned only as
+      // the ablation's first stage).
+      for (SchurColumn* c : pending) {
+        TraceSpan hop_span("schur.hop");
+        Timer hop_timer;
+        BicgstabOptions bi;
+        bi.tol = c->tol;
+        bi.max_iters = options_.max_iters;
+        bi.cancel = c->cancel;
+        SolveStats stats;
+        BEPI_ASSIGN_OR_RETURN(
+            Vector x, Bicgstab(op, *c->b, bi, &stats,
+                               stage == Stage::kIluBicgstab ? ilu_ : nullptr));
+        Record(&hop_span,
+               MakeAttempt(StageName(stage), stats, hop_timer.Seconds()),
+               c->request_id, &c->report);
+        settle(c, stats, &x);
+      }
+    } else {
+      // The terminal stages answer the whole system H r = c q from the
+      // column's restart; a column without one skips them.
+      for (SchurColumn* c : pending) {
+        if (terminal_ == nullptr || c->cq == nullptr ||
+            (stage == Stage::kMc && terminal_->mc == nullptr)) {
+          unanswered.push_back(c);
+          continue;
+        }
+        Result<Vector> r =
+            stage == Stage::kPower
+                ? GlobalPowerFallback(*terminal_->dec,
+                                      Concat(*c->cq, c->cq_column), options_,
+                                      c)
+                : McStage(*terminal_, c);
+        c->status = r.status();
+        if (r.ok()) {
+          c->x = std::move(*r);
+          c->full = true;
+        } else if (stage == Stage::kPower &&
+                   r.status().code() == StatusCode::kNotConverged) {
+          // Only an exhausted power budget degrades further; any other
+          // error ends the chain for this column.
+          unanswered.push_back(c);
+        }
+      }
     }
-
-    TraceSpan hop_span("schur.hop");
-    Timer hop_timer;
-    SolveStats stats;
-    const bool gmres =
-        stage == Stage::kIluGmres || stage == Stage::kJacobiGmres;
-    // Jacobi: the Schur complement of an RWR system is a nonsingular
-    // M-matrix, so its diagonal is safe to invert; this stage survives any
-    // ILU(0) breakdown or ILU-induced NaN.
-    std::optional<JacobiPreconditioner> jacobi;
-    if (stage == Stage::kJacobiGmres) jacobi.emplace(schur_);
-    GmresOptions gm;
-    gm.tol = options_.tol;
-    gm.max_iters = options_.max_iters;
-    gm.restart = options_.gmres_restart;
-    gm.cancel = options_.cancel;
-    // BiCGSTAB: a different Krylov recurrence that does not share GMRES's
-    // restart-stagnation failure mode (preconditioned only as the
-    // ablation's first stage).
-    BicgstabOptions bi;
-    bi.tol = options_.tol;
-    bi.max_iters = options_.max_iters;
-    bi.cancel = options_.cancel;
-    Result<Vector> x =
-        gmres ? Gmres(op, b, gm, &stats,
-                      jacobi.has_value()
-                          ? static_cast<const Preconditioner*>(&*jacobi)
-                          : ilu_,
-                      options_.x0, options_.gmres_workspace)
-              : Bicgstab(op, b, bi, &stats,
-                         stage == Stage::kIluBicgstab ? ilu_ : nullptr);
-    if (!x.ok()) return x.status();
-    Record(&hop_span,
-           MakeAttempt(StageName(stage), stats, hop_timer.Seconds()),
-           options_.request_id, report);
-    // A cancelled stage ends the chain: degrading further would only burn
-    // more time past the deadline. Hand back the best iterate; the
-    // recorded attempt carries its residual.
-    if (stats.converged || stats.outcome == SolveOutcome::kCancelled) {
-      return x;
-    }
-    failure = Status::NotConverged(
-        std::string("Schur solve (") + StageName(stage) + ") ended with " +
-        SolveOutcomeName(stats.outcome) +
-        (options_.enable_fallbacks ? "" : " and fallbacks are disabled"));
-  }
-  return failure;
-}
-
-Status ResilientSchurSolver::SolveBlock(
-    const std::vector<BlockGmresRhs>& rhs,
-    const std::vector<const char*>& request_ids,
-    std::vector<BlockGmresColumn>* columns,
-    std::vector<QueryReport>* reports) const {
-  const Stage stage = Chain(ilu_ != nullptr, options_).front();
-  if (stage != Stage::kIluGmres && stage != Stage::kJacobiGmres) {
-    return Status::FailedPrecondition(
-        "the chain's first stage cannot solve in lockstep");
-  }
-  CsrOperator fallback_op(schur_);
-  const LinearOperator& op = op_ != nullptr ? *op_ : fallback_op;
-  std::optional<JacobiPreconditioner> jacobi;
-  if (stage == Stage::kJacobiGmres) jacobi.emplace(schur_);
-  const Preconditioner* m = stage == Stage::kIluGmres
-                                ? static_cast<const Preconditioner*>(ilu_)
-                                : &*jacobi;
-  BlockGmresOptions bopts;
-  bopts.tol = options_.tol;
-  bopts.max_iters = options_.max_iters;
-  bopts.restart = options_.gmres_restart;
-  TraceSpan hop_span("schur.hop");
-  hop_span.Arg("stage", std::string(StageName(stage)));
-  hop_span.Arg("width", static_cast<std::int64_t>(rhs.size()));
-  Timer hop_timer;
-  BEPI_RETURN_IF_ERROR(BlockGmres(op, rhs, bopts, m, columns));
-  // Every column waited on the whole blocked solve: that wall time is the
-  // latency each observed, not a per-column slice of the work.
-  const double seconds = hop_timer.Seconds();
-  reports->assign(rhs.size(), QueryReport());
-  for (std::size_t j = 0; j < rhs.size(); ++j) {
-    const SolveStats& stats = (*columns)[j].stats;
-    if (!stats.converged || stats.outcome != SolveOutcome::kConverged) {
-      continue;
-    }
-    Record(nullptr, MakeAttempt(StageName(stage), stats, seconds),
-           request_ids[j], &(*reports)[j]);
+    pending = std::move(unanswered);
   }
   return Status::Ok();
 }
@@ -330,7 +342,7 @@ class BlockComplementOperator final : public LinearOperator {
 Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
                                    const Vector& cq,
                                    const ResilientSolveOptions& options,
-                                   QueryReport* report) {
+                                   SchurColumn* column) {
   if (static_cast<index_t>(cq.size()) != dec.n) {
     return Status::InvalidArgument("power fallback rhs size mismatch");
   }
@@ -342,14 +354,14 @@ Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
   Timer hop_timer;
   BlockComplementOperator g_op(dec);
   FixedPointOptions fp;
-  fp.tol = options.tol;
+  fp.tol = column->tol;
   fp.max_iters = options.max_iters;
-  fp.cancel = options.cancel;
+  fp.cancel = column->cancel;
   SolveStats stats;
   BEPI_ASSIGN_OR_RETURN(Vector r, FixedPointIteration(g_op, cq, fp, &stats));
   Record(&fallback_span,
          MakeAttempt(StageName(Stage::kPower), stats, hop_timer.Seconds()),
-         options.request_id, report);
+         column->request_id, &column->report);
   // Mirror the Krylov stages' cancellation contract: ok Result, partial
   // iterate, report->final_outcome == kCancelled.
   if (stats.outcome == SolveOutcome::kCancelled) return r;
@@ -362,12 +374,12 @@ Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
 }
 
 real_t PowerScoreBound(const HubSpokeDecomposition& dec,
-                       const SlicedVector& cq, const Vector& r,
+                       const SlicedVector& cq, index_t j, const Vector& r,
                        real_t restart_prob) {
   // rho = c q - H r = c q - r + (I - H) r, through the stage's own operator.
   Vector y;
   BlockComplementOperator(dec).Apply(r, &y);
-  const Vector c_q = Concat(cq);
+  const Vector c_q = Concat(cq, j);
   real_t norm1 = 0.0;
   for (std::size_t i = 0; i < r.size(); ++i) {
     norm1 += std::abs(c_q[i] - r[i] + y[i]);

@@ -27,15 +27,21 @@
 // the first stage. Every attempt is recorded in a QueryReport so callers
 // can observe which stages ran and why — no recoverable solver failure
 // reaches std::abort.
+//
+// One solve runs k >= 1 columns (a single query is k = 1). Each GMRES
+// stage is one GMRES call over the columns still unanswered; a column
+// that fails a stage moves on to the next stage alone, so every column's
+// report and answer are the ones it gets when solved by itself.
 #ifndef BEPI_CORE_RESILIENT_HPP_
 #define BEPI_CORE_RESILIENT_HPP_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/decomposition.hpp"
 #include "core/rwr.hpp"
-#include "solver/block_gmres.hpp"
+#include "solver/gmres.hpp"
 #include "solver/ilu0.hpp"
 
 namespace bepi {
@@ -56,35 +62,58 @@ struct McFallbackOptions {
   std::uint64_t seed = 20170514;
 };
 
+/// Chain-wide settings; what varies per request travels in SchurColumn.
 struct ResilientSolveOptions {
-  real_t tol = 1e-9;
   index_t max_iters = 10000;
   index_t gmres_restart = 100;
   /// When false the chain is only its first stage (the pre-resilience
   /// behavior, kept for ablations).
   bool enable_fallbacks = true;
   BepiInnerSolver inner_solver = BepiInnerSolver::kGmres;
-  /// Optional reusable GMRES scratch (see solver/gmres.hpp); not owned,
-  /// may be null. One workspace per concurrent solve.
-  GmresWorkspace* gmres_workspace = nullptr;
+};
+
+/// One right-hand side of ResilientSchurSolver::Solve: the request's own
+/// inputs (not owned; they must outlive the call) and, after the call, its
+/// answer.
+struct SchurColumn {
+  /// The Schur right-hand side q2~.
+  const Vector* b = nullptr;
+  /// Relative residual tolerance of every stage.
+  real_t tol = 1e-9;
+  /// Initial iterate of the GMRES stages (null = start from zero). The MC
+  /// warm start (QueryControl::warm_start_mc) lands here; a nonzero guess
+  /// changes the iterate sequence, so the default path never sets it.
+  const Vector* x0 = nullptr;
   /// Cooperative cancellation, forwarded into every stage (GMRES restart
   /// cycles, BiCGSTAB/power iterations, walk batches). When the token
-  /// expires the chain stops degrading: the interrupted stage's best
-  /// iterate is returned with the attempt recorded as kCancelled (see
-  /// Solve). May be null.
+  /// expires this column stops degrading: the interrupted stage's best
+  /// iterate is its answer, with the attempt recorded as kCancelled.
   const CancelToken* cancel = nullptr;
   /// Whether the Monte-Carlo stage may answer from the walks completed
   /// before `cancel` expired (QueryControl::allow_partial).
   bool allow_partial = false;
-  /// Request id of the serve request driving this solve (see
-  /// server/protocol.hpp); attached to flight-recorder stage-hop events
-  /// and stage trace spans. May be null outside the serve path.
+  /// Request id of the serve request (server/protocol.hpp), attached to
+  /// flight-recorder stage-hop events and stage trace spans. May be null.
   const char* request_id = nullptr;
-  /// Initial iterate for the GMRES stages (may be null = start from zero).
-  /// The MC warm start (QueryControl::warm_start_mc) lands here; a
-  /// nonzero guess changes the iterate sequence, so the default path
-  /// never sets it. Not owned; must outlive the solve.
-  const Vector* x0 = nullptr;
+  /// The restart c*q sliced along [n1 | n2 | n3]: column `cq_column` of
+  /// the panel `cq`. The terminal stages (power, mc) answer the whole
+  /// system H r = c q from it; without it they are skipped.
+  const SlicedVector* cq = nullptr;
+  index_t cq_column = 0;
+
+  /// ok, or why every stage failed (kNotConverged; the power stage's or
+  /// walk engine's own error when that ended the chain).
+  Status status = Status::Ok();
+  /// The answer: x = r2 from a Krylov stage, or — `full` set — the whole
+  /// reordered r from a terminal stage. When `report.final_outcome` is
+  /// kCancelled it is the interrupted stage's best iterate, the residual
+  /// in the last attempt.
+  Vector x;
+  bool full = false;
+  /// The GMRES stage that answered solved two or more columns together.
+  bool coalesced = false;
+  /// Every attempt, in chain order.
+  QueryReport report;
 };
 
 /// The terminal stages' inputs. `dec` feeds the power stage (skipped when
@@ -115,32 +144,18 @@ class ResilientSchurSolver {
                        const LinearOperator* op = nullptr,
                        const TerminalStages* terminal = nullptr);
 
-  /// Runs the stages in order, appending one SolveAttempt per stage to
-  /// `report`, and returns the first answer. A Krylov answer is x = r2; a
-  /// terminal stage (power, mc) answers the whole system H r = c q for the
-  /// restart `cq` (c*q sliced, k == 1; required when terminal stages are
-  /// armed) and returns the full reordered r with `*full` set. A non-ok
-  /// Status means every stage failed. When options.cancel expires mid-stage
-  /// the chain stops immediately and returns that stage's best iterate as
-  /// an ok Result with report->final_outcome == kCancelled — the caller
-  /// decides whether the partial vector (residual in the last attempt) is
-  /// usable.
-  Result<Vector> Solve(const Vector& b, QueryReport* report,
-                       const SlicedVector* cq = nullptr,
-                       bool* full = nullptr) const;
-
-  /// The first stage over k >= 2 right-hand sides at once (solver/
-  /// block_gmres.hpp): the Schur matrix streams once per step for all of
-  /// them, and each column's arithmetic matches a solo first-stage solve
-  /// exactly. One schur.hop span covers the block; every converged column
-  /// gets its attempt recorded into reports[j]. A column that did not
-  /// converge records nothing — the caller re-solves it through Solve.
-  /// FailedPrecondition when the first stage cannot run in lockstep (the
-  /// BiCGSTAB ablation): every column then solves through Solve.
-  Status SolveBlock(const std::vector<BlockGmresRhs>& rhs,
-                    const std::vector<const char*>& request_ids,
-                    std::vector<BlockGmresColumn>* columns,
-                    std::vector<QueryReport>* reports) const;
+  /// Runs every column through the stages in order. Each GMRES stage is one
+  /// Gmres call (solver/gmres.hpp) over the columns still unanswered, so S
+  /// streams once per step for all of them; BiCGSTAB, power and MC run per
+  /// column. A column that fails a stage moves on to the next one, so its
+  /// report equals that of the same column solved alone, and each column's
+  /// answer is bitwise the one it gets alone. Every attempt is recorded
+  /// into the column's report; a stage run over two or more columns has one
+  /// schur.hop span and records the call's wall time as each column's
+  /// seconds. A non-ok Status is a shape error; solver failures land in
+  /// each column's status. `workspace` (may be null) is the GMRES scratch.
+  Status Solve(std::span<SchurColumn> columns,
+               GmresWorkspace* workspace = nullptr) const;
 
  private:
   const CsrMatrix& schur_;
@@ -158,19 +173,20 @@ bool SupportsGlobalPowerFallback(const HubSpokeDecomposition& dec);
 /// The power stage: power iteration r <- (I - H) r + cq on the full
 /// reordered system, assembled blockwise from the decomposition. `cq` is
 /// the scaled start vector c*q in reordered ids (length dec.n); the result
-/// is the full reordered RWR vector. Appends its SolveAttempt to `report`.
+/// is the full reordered RWR vector. Reads the tolerance, cancel token and
+/// request id of `column` and appends its SolveAttempt to column->report.
 /// Fails only on budget exhaustion (kNotConverged).
 Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
                                    const Vector& cq,
                                    const ResilientSolveOptions& options,
-                                   QueryReport* report);
+                                   SchurColumn* column);
 
 /// Sup-norm per-score bound of a power-stage answer `r` (full, reordered)
-/// for the restart `cq`: the true full-system residual rho = c q - H r
-/// through FullSystemScoreBound (core/topk.hpp). The stage's own scalar
-/// residual is not a per-score bound.
+/// for column j of the restart panel `cq`: the true full-system residual
+/// rho = c q - H r through FullSystemScoreBound (core/topk.hpp). The
+/// stage's own scalar residual is not a per-score bound.
 real_t PowerScoreBound(const HubSpokeDecomposition& dec,
-                       const SlicedVector& cq, const Vector& r,
+                       const SlicedVector& cq, index_t j, const Vector& r,
                        real_t restart_prob);
 
 }  // namespace bepi

@@ -424,8 +424,15 @@ TEST_F(CacheServeTest, CoalescedBatchMatchesScalarServeBitwise) {
                   static_cast<int>(i + 1), static_cast<int>(unique_seeds[i]));
     scalar_reqs.push_back(buf);
   }
+  // An eps top-k request joins the batch with its own tolerance.
+  const char* eps_request =
+      R"({"op":"query","id":%d,"seed":9,"top_k":5,"mode":"eps","eps":1e-4})";
+  char eps_buf[128];
+  std::snprintf(eps_buf, sizeof eps_buf, eps_request,
+                static_cast<int>(unique_seeds.size() + 1));
+  scalar_reqs.push_back(eps_buf);
   auto scalar_lines = Serve(scalar_reqs, scalar_opts);
-  ASSERT_EQ(scalar_lines.size(), unique_seeds.size());
+  ASSERT_EQ(scalar_lines.size(), scalar_reqs.size());
 
   // Batched run: five requests (two duplicate seeds among them) into one
   // slot with a generous coalescing window, so they form one batch.
@@ -442,8 +449,11 @@ TEST_F(CacheServeTest, CoalescedBatchMatchesScalarServeBitwise) {
                   static_cast<int>(i + 1), static_cast<int>(batch_seeds[i]));
     batch_reqs.push_back(buf);
   }
+  std::snprintf(eps_buf, sizeof eps_buf, eps_request,
+                static_cast<int>(batch_seeds.size() + 1));
+  batch_reqs.push_back(eps_buf);
   auto batch_lines = Serve(batch_reqs, batch_opts);
-  ASSERT_EQ(batch_lines.size(), batch_seeds.size());
+  ASSERT_EQ(batch_lines.size(), batch_reqs.size());
 
   int coalesced_responses = 0;
   for (std::size_t i = 0; i < batch_seeds.size(); ++i) {
@@ -468,9 +478,19 @@ TEST_F(CacheServeTest, CoalescedBatchMatchesScalarServeBitwise) {
       EXPECT_EQ(a, b) << "seed " << batch_seeds[i] << " key " << key;
     }
   }
-  // The reader thread feeds an in-memory stream, so all five requests
+  const std::string& eps_want =
+      ById(scalar_lines, static_cast<int>(unique_seeds.size() + 1));
+  const std::string& eps_got =
+      ById(batch_lines, static_cast<int>(batch_seeds.size() + 1));
+  EXPECT_NE(eps_got.find("\"ok\":true"), std::string::npos) << eps_got;
+  for (const char* key : {"topk", "bound", "iterations", "residual"}) {
+    const std::string a = JsonSlice(eps_want, key);
+    ASSERT_FALSE(a.empty()) << key;
+    EXPECT_EQ(a, JsonSlice(eps_got, key)) << "eps request, key " << key;
+  }
+  // The reader thread feeds an in-memory stream, so all six requests
   // land well inside the 500 ms window: at worst the first executes solo
-  // and the remaining four coalesce.
+  // and the remaining five coalesce.
   EXPECT_GE(coalesced_responses, 2) << "batching never engaged";
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/cancel.hpp"
 #include "solver/gmres.hpp"
 #include "solver/ilu0.hpp"
+#include "sparse/coo.hpp"
+#include "sparse/kernel.hpp"
 #include "test_util.hpp"
 
 namespace bepi {
@@ -194,12 +199,162 @@ TEST(Gmres, ShapeErrors) {
   GmresOptions bad;
   bad.restart = 0;
   EXPECT_FALSE(Gmres(op, Vector(3, 1.0), bad, &stats).ok());
+  // A width-k call fails as a whole when any column is malformed.
+  const Vector good(3, 1.0), short_rhs(2, 1.0);
+  std::vector<GmresColumn> columns(2);
+  columns[0].b = &good;
+  columns[1].b = &short_rhs;
+  EXPECT_FALSE(Gmres(op, columns, GmresSettings{}).ok());
+  columns[1].b = nullptr;
+  EXPECT_FALSE(Gmres(op, columns, GmresSettings{}).ok());
 }
 
 TEST(Gmres, NullStatsAccepted) {
   CsrMatrix a = CsrMatrix::Identity(3);
   CsrOperator op(a);
   EXPECT_TRUE(Gmres(op, Vector(3, 1.0), GmresOptions(), nullptr).ok());
+}
+
+// --- width-k calls --------------------------------------------------------
+
+/// A copy of `c`'s inputs, without its results.
+GmresColumn InputsOf(const GmresColumn& c) {
+  GmresColumn in;
+  in.b = c.b;
+  in.x0 = c.x0;
+  in.tol = c.tol;
+  in.cancel = c.cancel;
+  return in;
+}
+
+/// Solves `columns` in one call and checks every column against the same
+/// column solved alone: x, iterations, residual and outcome bit for bit.
+/// A column without a cancel token is also checked against the
+/// one-column Gmres(a, b, options, ...) call.
+void ExpectEachColumnMatchesItsSoloSolve(const LinearOperator& op,
+                                         const Preconditioner* m,
+                                         const GmresSettings& settings,
+                                         std::vector<GmresColumn>* columns) {
+  ASSERT_TRUE(Gmres(op, *columns, settings, m).ok());
+  for (std::size_t j = 0; j < columns->size(); ++j) {
+    SCOPED_TRACE("column " + std::to_string(j));
+    const GmresColumn& got = (*columns)[j];
+    GmresColumn alone = InputsOf(got);
+    ASSERT_TRUE(Gmres(op, {&alone, 1}, settings, m).ok());
+    EXPECT_EQ(got.x, alone.x);
+    EXPECT_EQ(got.stats.iterations, alone.stats.iterations);
+    EXPECT_EQ(got.stats.relative_residual, alone.stats.relative_residual);
+    EXPECT_EQ(got.stats.outcome, alone.stats.outcome);
+    EXPECT_EQ(got.stats.converged, alone.stats.converged);
+    if (got.cancel != nullptr) continue;
+    GmresOptions options;
+    static_cast<GmresSettings&>(options) = settings;
+    options.tol = got.tol;
+    SolveStats stats;
+    auto x = Gmres(op, *got.b, options, &stats, m, got.x0);
+    ASSERT_TRUE(x.ok());
+    EXPECT_EQ(got.x, *x);
+    EXPECT_EQ(got.stats.iterations, stats.iterations);
+    EXPECT_EQ(got.stats.relative_residual, stats.relative_residual);
+    EXPECT_EQ(got.stats.outcome, stats.outcome);
+  }
+}
+
+TEST(GmresWidth, EachColumnEqualsItsOneColumnCallBitwise) {
+  // Mixed initial iterates and tolerances, a zero right-hand side and a
+  // pre-cancelled token in one call, under ILU(0), Jacobi and no
+  // preconditioner. A short restart makes the columns' cycles end at
+  // different steps. The compact kernel view gives the real SpMM panel.
+  Rng rng(367);
+  const index_t n = 120;
+  const CsrMatrix a = test::RandomDiagDominant(n, 0.05, &rng);
+  const KernelCsr kernel = KernelCsr::Bind(a, KernelPath::kAuto);
+  const KernelCsrOperator op(kernel);
+  const Vector b1 = test::RandomVector(n, &rng);
+  const Vector b2 = test::RandomVector(n, &rng);
+  const Vector b3 = test::RandomVector(n, &rng);
+  const Vector b4 = test::RandomVector(n, &rng);
+  const Vector zero(static_cast<std::size_t>(n), 0.0);
+  const Vector guess = test::RandomVector(n, &rng);
+  CancelToken cancelled;
+  cancelled.Cancel();
+  auto ilu = Ilu0::Factor(a);
+  ASSERT_TRUE(ilu.ok());
+  const JacobiPreconditioner jacobi(a);
+  GmresSettings settings;
+  settings.restart = 7;
+  settings.max_iters = 500;
+  for (const Preconditioner* m :
+       {static_cast<const Preconditioner*>(&*ilu),
+        static_cast<const Preconditioner*>(&jacobi),
+        static_cast<const Preconditioner*>(nullptr)}) {
+    SCOPED_TRACE(m == nullptr ? "no preconditioner"
+                 : m == &jacobi ? "jacobi" : "ilu0");
+    std::vector<GmresColumn> columns(6);
+    columns[0].b = &b1;
+    columns[1].b = &b2;
+    columns[1].x0 = &guess;
+    columns[1].tol = 1e-4;
+    columns[2].b = &zero;
+    columns[2].x0 = &guess;
+    columns[3].b = &b3;
+    columns[3].tol = 1e-12;
+    columns[4].b = &b4;
+    columns[4].x0 = &guess;
+    columns[4].cancel = &cancelled;
+    columns[5].b = &b1;
+    columns[5].tol = 1e-6;
+    ExpectEachColumnMatchesItsSoloSolve(op, m, settings, &columns);
+    EXPECT_EQ(columns[2].stats.outcome, SolveOutcome::kConverged);
+    EXPECT_EQ(columns[2].x, zero);
+    EXPECT_EQ(columns[4].stats.outcome, SolveOutcome::kCancelled);
+    EXPECT_EQ(columns[4].x, guess);
+    EXPECT_LT(columns[1].stats.iterations, columns[3].stats.iterations);
+  }
+}
+
+TEST(GmresWidth, ArnoldiBreakdownColumnFinishesBesideIteratingOnes) {
+  // S = diag(I, B): a right-hand side on the identity block makes its
+  // first Krylov vector invariant, so that column ends by an exact Arnoldi
+  // breakdown at its first step while the others keep iterating.
+  Rng rng(373);
+  const index_t p = 10, nb = 60, n = p + nb;
+  const CsrMatrix block = test::RandomDiagDominant(nb, 0.1, &rng);
+  CooMatrix coo(n, n);
+  for (index_t i = 0; i < p; ++i) coo.Add(i, i, 1.0);
+  for (index_t r = 0; r < nb; ++r) {
+    for (index_t q = block.row_ptr()[static_cast<std::size_t>(r)];
+         q < block.row_ptr()[static_cast<std::size_t>(r) + 1]; ++q) {
+      coo.Add(p + r, p + block.col_idx()[static_cast<std::size_t>(q)],
+              block.values()[static_cast<std::size_t>(q)]);
+    }
+  }
+  auto a = coo.ToCsr();
+  ASSERT_TRUE(a.ok());
+  const KernelCsr kernel = KernelCsr::Bind(*a, KernelPath::kAuto);
+  const KernelCsrOperator op(kernel);
+  Vector invariant(static_cast<std::size_t>(n), 0.0);
+  invariant[3] = 4.0;
+  const Vector b1 = test::RandomVector(n, &rng);
+  const Vector b2 = test::RandomVector(n, &rng);
+  auto ilu = Ilu0::Factor(*a);
+  ASSERT_TRUE(ilu.ok());
+  for (const Preconditioner* m :
+       {static_cast<const Preconditioner*>(&*ilu),
+        static_cast<const Preconditioner*>(nullptr)}) {
+    SCOPED_TRACE(m == nullptr ? "no preconditioner" : "ilu0");
+    std::vector<GmresColumn> columns(3);
+    columns[0].b = &b1;
+    columns[1].b = &invariant;
+    columns[2].b = &b2;
+    ExpectEachColumnMatchesItsSoloSolve(op, m, GmresSettings{}, &columns);
+    EXPECT_EQ(columns[1].stats.outcome, SolveOutcome::kConverged);
+    EXPECT_EQ(columns[1].stats.iterations, 1);
+    EXPECT_EQ(columns[1].stats.relative_residual, 0.0);
+    EXPECT_EQ(columns[1].x, invariant);
+    EXPECT_GT(columns[0].stats.iterations, 1);
+    EXPECT_GT(columns[2].stats.iterations, 1);
+  }
 }
 
 }  // namespace

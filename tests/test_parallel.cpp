@@ -214,6 +214,29 @@ TEST_F(ParallelTest, GmresWorkspaceReuseDoesNotChangeResults) {
     EXPECT_EQ(*reused, *fresh) << "round " << round;
     EXPECT_EQ(stats.iterations, fresh_stats.iterations);
   }
+
+  // Widths 3 -> 1 -> 3 on one workspace: a column's buffers left by a wider
+  // or narrower call never change its result.
+  const Vector b2 = test::RandomVector(200, &rng);
+  const Vector b3 = test::RandomVector(200, &rng);
+  const std::vector<const Vector*> rhs = {&b, &b2, &b3};
+  std::vector<Vector> fresh_x;
+  for (const Vector* r : rhs) {
+    auto x = Gmres(op, *r, options, nullptr);
+    ASSERT_TRUE(x.ok());
+    fresh_x.push_back(*x);
+  }
+  for (const std::size_t width : {3, 1, 3}) {
+    std::vector<GmresColumn> columns(width);
+    for (std::size_t j = 0; j < width; ++j) {
+      columns[j].b = rhs[j];
+      columns[j].tol = options.tol;
+    }
+    ASSERT_TRUE(Gmres(op, columns, options, nullptr, &ws).ok());
+    for (std::size_t j = 0; j < width; ++j) {
+      EXPECT_EQ(columns[j].x, fresh_x[j]) << "width " << width << " column " << j;
+    }
+  }
 }
 
 TEST_F(ParallelTest, BatchMatchesSequentialQueries) {

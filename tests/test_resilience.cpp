@@ -370,8 +370,11 @@ TEST_F(DegradationChainTest, FallbacksDisabledSurfaceNotConverged) {
   options.enable_fallbacks = false;
   BepiSolver solver(options);
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
-  auto r = solver.Query(5);
+  QueryStats stats;
+  auto r = solver.Query(5, &stats);
   EXPECT_EQ(r.status().code(), StatusCode::kNotConverged);
+  // The exhausted chain still reports its attempt.
+  EXPECT_EQ(stats.report.Summary(), "ilu0+gmres -> Stagnated (0 iters)");
 }
 
 TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
@@ -459,8 +462,9 @@ TEST_F(ResilientApiTest, ShapeMismatchIsInvalidArgument) {
   CsrMatrix s = test::RandomDiagDominant(8, 0.4, &rng);
   ResilientSchurSolver solver(s, nullptr, ResilientSolveOptions{});
   Vector wrong(3, 0.0);
-  EXPECT_EQ(solver.Solve(wrong, nullptr).status().code(),
-            StatusCode::kInvalidArgument);
+  SchurColumn column;
+  column.b = &wrong;
+  EXPECT_EQ(solver.Solve({&column, 1}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ResilientApiTest, PowerFallbackRequiresV2Blocks) {
@@ -468,7 +472,8 @@ TEST_F(ResilientApiTest, PowerFallbackRequiresV2Blocks) {
   dec.n = 4;
   dec.n2 = 4;
   Vector cq(4, 0.0);
-  EXPECT_EQ(GlobalPowerFallback(dec, cq, ResilientSolveOptions{}, nullptr)
+  SchurColumn column;
+  EXPECT_EQ(GlobalPowerFallback(dec, cq, ResilientSolveOptions{}, &column)
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
@@ -479,12 +484,13 @@ TEST_F(ResilientApiTest, SolveWithoutIluStartsAtJacobi) {
   CsrMatrix s = test::RandomDiagDominant(30, 0.2, &rng);
   Vector b = test::RandomVector(30, &rng);
   ResilientSchurSolver solver(s, nullptr, ResilientSolveOptions{});
-  QueryReport report;
-  auto x = solver.Solve(b, &report);
-  ASSERT_TRUE(x.ok());
-  ASSERT_GE(report.attempts.size(), 1u);
-  EXPECT_EQ(report.attempts[0].stage, "jacobi+gmres");
-  EXPECT_LT(DistL2(s.Multiply(*x), b), 1e-6);
+  SchurColumn column;
+  column.b = &b;
+  ASSERT_TRUE(solver.Solve({&column, 1}).ok());
+  ASSERT_TRUE(column.status.ok());
+  ASSERT_GE(column.report.attempts.size(), 1u);
+  EXPECT_EQ(column.report.attempts[0].stage, "jacobi+gmres");
+  EXPECT_LT(DistL2(s.Multiply(column.x), b), 1e-6);
 }
 
 }  // namespace

@@ -341,17 +341,54 @@ TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
         EXPECT_EQ(got.scores, scores_at_one_thread[i]);
       }
     }
-    // The plain seeds, the duplicate, the exact top-k and the dense
-    // personalization coalesced; eps and warm-started requests solved
-    // alone.
+    // Every valid request coalesced: the eps ones with their own
+    // tolerance, the warm-started one with its own initial iterate.
     EXPECT_TRUE((*solved)[0].coalesced);
     EXPECT_TRUE((*solved)[2].coalesced);
     EXPECT_TRUE((*solved)[3].coalesced);
     EXPECT_TRUE((*solved)[1].coalesced);
-    EXPECT_FALSE((*solved)[5].coalesced);
-    EXPECT_FALSE((*solved)[6].coalesced);
-    EXPECT_FALSE((*solved)[7].coalesced);
+    EXPECT_TRUE((*solved)[5].coalesced);
+    EXPECT_TRUE((*solved)[6].coalesced);
+    EXPECT_TRUE((*solved)[7].coalesced);
     EXPECT_EQ((*solved)[4].status.code(), StatusCode::kOutOfRange);
+  }
+
+  // One gmres.stagnate hit lands on the first column that reaches the
+  // fault site. That column moves on to jacobi+gmres by itself and must
+  // equal the same request solved alone under the same arming; the other
+  // columns stay coalesced and equal their clean width-1 calls.
+  const std::vector<QueryRequest> faulted = {{11, nullptr, {}, {}},
+                                             {90, nullptr, exact, {}},
+                                             {200, nullptr, {}, {}}};
+  std::vector<QueryResult> clean;
+  for (const QueryRequest& r : faulted) {
+    clean.push_back(solver.Solve({&r, 1}).value().front());
+  }
+  FaultInjector::Global().Arm(fault_sites::kGmresStagnate, 0, 1);
+  const auto solved = solver.Solve(faulted);
+  FaultInjector::Global().Reset();
+  FaultInjector::Global().Arm(fault_sites::kGmresStagnate, 0, 1);
+  const QueryResult alone = solver.Solve({&faulted[0], 1}).value().front();
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(solved.ok());
+  const std::vector<std::string> degraded = {"ilu0+gmres:Stagnated",
+                                             "jacobi+gmres:Converged"};
+  const QueryResult& got = solved->front();
+  ASSERT_TRUE(got.status.ok());
+  EXPECT_EQ(StageList(got.stats), degraded);
+  EXPECT_EQ(StageList(alone.stats), degraded);
+  EXPECT_EQ(got.scores, alone.scores);
+  EXPECT_EQ(got.stats.residual, alone.stats.residual);
+  EXPECT_EQ(got.stats.total_iterations, alone.stats.total_iterations);
+  EXPECT_FALSE(got.coalesced);
+  for (std::size_t i = 1; i < faulted.size(); ++i) {
+    SCOPED_TRACE("faulted batch request " + std::to_string(i));
+    const QueryResult& other = (*solved)[i];
+    ASSERT_TRUE(other.status.ok());
+    EXPECT_TRUE(other.coalesced);
+    EXPECT_EQ(StageList(other.stats), StageList(clean[i].stats));
+    EXPECT_EQ(other.scores, clean[i].scores);
+    EXPECT_EQ(other.topk.entries, clean[i].topk.entries);
   }
 }
 

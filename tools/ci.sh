@@ -34,7 +34,9 @@
 #     of the same seed; wave 2 repeats the seeds and must be answered
 #     entirely from the cache (stage "cache", counters to match); then a
 #     faulted batch (gmres.stagnate on one column) must degrade that
-#     column alone while the rest stay coalesced, all still identical;
+#     column alone to jacobi+gmres — equal to a one-shot query of that
+#     seed under the same fault — while the rest stay coalesced and equal
+#     to the clean dumps;
 #   * crosscheck: the Monte-Carlo oracle against the exact solve on two
 #     example graphs, then with every linear-algebra stage fault-injected
 #     so the degradation chain must bottom out in the MC terminal stage
@@ -607,15 +609,20 @@ print(f"    wave 1: {len(coalesced)} coalesced responses, all bit-identical"
       f" to dumps; wave 2: 4/4 cache hits; stats counters agree")
 EOF
 
-  # 2. A faulted column degrades alone: gmres.stagnate fires once, so one
-  # column of the blocked solve stalls and is re-solved through the
-  # scalar chain while the rest of the batch stays coalesced. Every
-  # response must still be bit-identical to the one-shot dumps.
+  # 2. A faulted column degrades alone: gmres.stagnate fires once. Seed 3's
+  # Schur right-hand side is zero, so its column converges in 0 iterations
+  # before the fault site and the hit lands on seed 9's column. That
+  # column moves on to jacobi+gmres by itself, exactly as seed 9 solved
+  # alone under the same fault does, while seed 3 stays coalesced and
+  # equal to its clean dump.
+  "$cli" query --model="$work/model.txt" --seed-node=9 \
+    --fault-inject=gmres.stagnate:0:1 \
+    --dump-scores="$work/faulted_9.txt" >/dev/null 2>&1
   python3 - "$work" "$cli" <<'EOF'
 import json, subprocess, sys
 work, cli = sys.argv[1], sys.argv[2]
-direct = {s: [float(l) for l in open(f"{work}/direct_{s}.txt")]
-          for s in (3, 9)}
+direct = {3: [float(l) for l in open(f"{work}/direct_3.txt")],
+          9: [float(l) for l in open(f"{work}/faulted_9.txt")]}
 proc = subprocess.Popen(
     [cli, "serve", f"--model={work}/model.txt", "--slots=1",
      "--batch-max=8", "--batch-window-ms=500",
@@ -635,14 +642,16 @@ proc.stdin.close()
 assert proc.wait() == 0
 flags = {r.get("coalesced", False) for r in responses.values()}
 assert flags == {True, False}, \
-    f"expected a mix of coalesced and retried columns, got {flags}"
+    f"expected a mix of coalesced and degraded columns, got {flags}"
 for i, seed in enumerate(seeds):
     r = responses[i]
     assert r["ok"] and not r["partial"], r
+    if seed == 9:
+        assert r["stage"] == "jacobi+gmres", r
     assert r["scores"] == direct[seed], f"seed {seed} differs under fault"
-print("    faulted column degraded alone (coalesced flags "
+print("    faulted column degraded alone to jacobi+gmres (coalesced flags "
       f"{sorted(r.get('coalesced', False) for r in responses.values())}); "
-      "all responses bit-identical to dumps")
+      "seed 9 equals its solo faulted dump, seed 3 its clean dump")
 EOF
   rm -rf "$work"
 }
