@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   Table time_table({"dataset", "edges", "BePI (s)", "Bear (s)", "LU (s)"});
   Table mem_table({"dataset", "edges", "BePI (MB)", "Bear (MB)", "LU (MB)"});
   const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
-  Table ckpt_table({"dataset", "plain (s)", "checkpointed (s)", "ckpt io (s)",
+  Table ckpt_table({"dataset", "plain (s)", "checkpointed (s)", "ckpt (s)",
                     "writes", "overhead"});
 
   for (const DatasetSpec& spec : PaperDatasets()) {

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/fileio.hpp"
+#include "common/json.hpp"
 
 namespace bepi {
 
@@ -137,32 +138,6 @@ bool ReadSlot(const Slot& slot, FlightEvent* out) {
   return false;
 }
 
-void AppendJsonEscaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 }  // namespace
 
 const char* FlightEventTypeName(FlightEventType type) {
@@ -273,16 +248,14 @@ Status FlightRecorder::DumpJson(std::ostream& out) {
     out << (first ? "\n  " : ",\n  ");
     first = false;
     out << "{\"name\": ";
-    AppendJsonEscaped(out, FlightEventTypeName(event.type));
+    out << JsonQuote(FlightEventTypeName(event.type));
     // Instant events ("ph":"i", thread scope) load in Perfetto/Chrome as
     // one marker per event on the recorder thread's row.
     out << ", \"ph\": \"i\", \"s\": \"t\", \"ts\": " << event.ts_ns / 1000
         << ", \"pid\": 1, \"tid\": " << event.tid << ", \"args\": {";
     char buf[32];
-    out << "\"request_id\": ";
-    AppendJsonEscaped(out, event.request_id);
-    out << ", \"detail\": ";
-    AppendJsonEscaped(out, event.detail);
+    out << "\"request_id\": " << JsonQuote(event.request_id)
+        << ", \"detail\": " << JsonQuote(event.detail);
     std::snprintf(buf, sizeof(buf), "%" PRId64, event.arg);
     out << ", \"arg\": \"" << buf << "\"";
     std::snprintf(buf, sizeof(buf), "%" PRId64, event.ts_ns);

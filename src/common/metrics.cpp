@@ -10,6 +10,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace bepi {
 
 std::atomic<bool> g_metrics_enabled{false};
@@ -51,32 +53,6 @@ void AtomicMax(std::atomic<double>* a, double v) {
   while (v > cur &&
          !a->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-}
-
-void AppendJsonString(std::ostringstream* out, const std::string& s) {
-  *out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out << "\\\"";
-        break;
-      case '\\':
-        *out << "\\\\";
-        break;
-      case '\n':
-        *out << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out << buf;
-        } else {
-          *out << c;
-        }
-    }
-  }
-  *out << '"';
 }
 
 void AppendJsonNumber(std::ostringstream* out, double v) {
@@ -306,16 +282,14 @@ std::string MetricsRegistry::SnapshotJson() const {
   for (const auto& [name, counter] : counters_) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    AppendJsonString(&out, name);
-    out << ": " << counter->value();
+    out << JsonQuote(name) << ": " << counter->value();
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    AppendJsonString(&out, name);
-    out << ": ";
+    out << JsonQuote(name) << ": ";
     AppendJsonNumber(&out, gauge->value());
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -324,8 +298,7 @@ std::string MetricsRegistry::SnapshotJson() const {
     const HistogramSnapshot snap = histogram->Snapshot();
     out << (first ? "\n    " : ",\n    ");
     first = false;
-    AppendJsonString(&out, name);
-    out << ": {\"count\": " << snap.count << ", \"sum\": ";
+    out << JsonQuote(name) << ": {\"count\": " << snap.count << ", \"sum\": ";
     AppendJsonNumber(&out, snap.sum);
     out << ", \"min\": ";
     AppendJsonNumber(&out, snap.min);
@@ -364,9 +337,7 @@ std::string MetricsRegistry::SnapshotJson() const {
       AppendJsonNumber(&out, exemplar.value);
       out << ", \"ts\": ";
       AppendJsonNumber(&out, exemplar.ts_unix_seconds);
-      out << ", \"label\": ";
-      AppendJsonString(&out, exemplar.label);
-      out << "}";
+      out << ", \"label\": " << JsonQuote(exemplar.label) << "}";
     }
     out << "}";
   }

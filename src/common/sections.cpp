@@ -1,7 +1,9 @@
 #include "common/sections.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <ostream>
 
 #include "common/checksum.hpp"
@@ -9,6 +11,9 @@
 
 namespace bepi {
 namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "section payloads store raw little-endian arrays");
 
 constexpr std::string_view kSectionTag = "%section ";
 constexpr std::string_view kManifestTag = "%manifest ";
@@ -359,6 +364,128 @@ IntegrityReport CheckIntegrity(std::istream& in,
     return report;
   }
   return CheckIntegrity(std::string_view(*buffer), magic_prefix);
+}
+
+void PayloadWriter::Text(std::string_view s) {
+  U64(s.size());
+  Append(s.data(), s.size());
+}
+
+void PayloadWriter::Indices(const std::vector<index_t>& v,
+                            std::uint64_t width) {
+  if (width == sizeof(index_t)) {
+    Append(v.data(), v.size() * sizeof(index_t));
+    return;
+  }
+  const std::size_t at = bytes_.size();
+  bytes_.resize(at + v.size() * sizeof(std::uint32_t));
+  char* out = bytes_.data() + at;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const auto narrow = static_cast<std::uint32_t>(v[i]);
+    std::memcpy(out + i * sizeof(narrow), &narrow, sizeof(narrow));
+  }
+}
+
+void PayloadWriter::IndexArray(const std::vector<index_t>& v,
+                               std::uint64_t width) {
+  U64(v.size());
+  U64(width);
+  Indices(v, width);
+}
+
+void PayloadWriter::Reals(const std::vector<real_t>& v) {
+  Append(v.data(), v.size() * sizeof(real_t));
+}
+
+std::uint64_t PayloadReader::U64() {
+  std::uint64_t v = 0;
+  Read(&v, sizeof(v));
+  return v;
+}
+
+double PayloadReader::F64() {
+  double v = 0.0;
+  Read(&v, sizeof(v));
+  return v;
+}
+
+std::string PayloadReader::Text() {
+  const std::uint64_t size = U64();
+  if (!Fits(size, 1)) return {};
+  std::string s(section_.payload.substr(pos_, static_cast<std::size_t>(size)));
+  pos_ += s.size();
+  return s;
+}
+
+std::vector<index_t> PayloadReader::Indices(std::uint64_t count,
+                                            std::uint64_t width) {
+  std::vector<index_t> v;
+  if (width != sizeof(std::uint32_t) && width != sizeof(index_t)) {
+    Fail("index width " + std::to_string(width));
+  }
+  if (!Fits(count, width)) return v;
+  v.resize(static_cast<std::size_t>(count));
+  const char* in = section_.payload.data() + pos_;
+  if (width == sizeof(index_t)) {
+    std::memcpy(v.data(), in, v.size() * sizeof(index_t));
+  } else {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      std::uint32_t narrow = 0;
+      std::memcpy(&narrow, in + i * sizeof(narrow), sizeof(narrow));
+      v[i] = narrow;
+    }
+  }
+  pos_ += v.size() * width;
+  return v;
+}
+
+std::vector<index_t> PayloadReader::IndexArray() {
+  const std::uint64_t count = U64(), width = U64();
+  return Indices(count, width);
+}
+
+std::vector<real_t> PayloadReader::Reals(std::uint64_t count) {
+  std::vector<real_t> v;
+  if (!Fits(count, sizeof(real_t))) return v;
+  v.resize(static_cast<std::size_t>(count));
+  std::memcpy(v.data(), section_.payload.data() + pos_,
+              v.size() * sizeof(real_t));
+  pos_ += v.size() * sizeof(real_t);
+  return v;
+}
+
+Status PayloadReader::Finish() {
+  if (pos_ != section_.payload.size()) {
+    Fail(std::to_string(section_.payload.size() - pos_) + " trailing bytes");
+  }
+  return status_;
+}
+
+Status PayloadReader::Malformed(const std::string& what) const {
+  return Status::IoError("malformed section '" + section_.name + "': " + what);
+}
+
+void PayloadReader::Fail(const std::string& what) {
+  if (status_.ok()) status_ = Malformed(what);
+}
+
+bool PayloadReader::Fits(std::uint64_t count, std::uint64_t width) {
+  if (!status_.ok()) return false;
+  // Division, so a hostile count cannot overflow the product.
+  const std::uint64_t left = section_.payload.size() - pos_;
+  if (count > left / width) {
+    Fail("claims " + std::to_string(count) + " entries of " +
+         std::to_string(width) + " bytes but only " + std::to_string(left) +
+         " bytes remain");
+    return false;
+  }
+  return true;
+}
+
+void PayloadReader::Read(void* out, std::size_t n) {
+  if (!Fits(1, n)) return;
+  std::memcpy(out, section_.payload.data() + pos_, n);
+  pos_ += n;
 }
 
 }  // namespace bepi

@@ -14,8 +14,10 @@
 // manifest (itself checksummed, closed by %end at the very end of the file)
 // detects tail truncation and lets a verifier cross-check the section
 // directory. Offsets are byte positions of the %section header line
-// counted from the magic line. Payloads are opaque bytes: the framing
-// never looks inside them, so text and raw binary arrays frame alike.
+// counted from the magic line. The framing never looks inside a payload;
+// PayloadWriter/PayloadReader below are the one encoding every payload
+// uses (model format v4 and the preprocessing checkpoints alike): 8-byte
+// little-endian fields and raw little-endian arrays.
 #ifndef BEPI_COMMON_SECTIONS_HPP_
 #define BEPI_COMMON_SECTIONS_HPP_
 
@@ -24,9 +26,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
+#include "common/types.hpp"
 
 namespace bepi {
 
@@ -125,6 +129,77 @@ IntegrityReport CheckIntegrity(std::string_view buffer,
                                std::string_view magic_prefix);
 /// The same over the rest of a stream, read into memory first.
 IntegrityReport CheckIntegrity(std::istream& in, std::string_view magic_prefix);
+
+/// The section called `name` in `sections` (section name -> payload bytes,
+/// as a loader collects them or CheckpointManager::Read returns them),
+/// viewing the map's payload; DataLoss when there is none.
+template <typename SectionMap>
+Result<Section> FindSection(const SectionMap& sections,
+                            const std::string& name) {
+  const auto it = sections.find(name);
+  if (it == sections.end()) {
+    return Status::DataLoss("missing section '" + name + "'");
+  }
+  return Section{it->first, std::string_view(it->second)};
+}
+
+/// Builds a section payload from 8-byte fields and raw arrays.
+class PayloadWriter {
+ public:
+  void U64(std::uint64_t v) { Append(&v, sizeof(v)); }
+  void F64(double v) { Append(&v, sizeof(v)); }
+  /// The length, then the bytes.
+  void Text(std::string_view s);
+  /// The entries of `v` at `width` bytes each (4 or 8); at width 4 every
+  /// entry must fit in 32 bits.
+  void Indices(const std::vector<index_t>& v, std::uint64_t width);
+  /// The entry count and `width`, then Indices(v, width).
+  void IndexArray(const std::vector<index_t>& v, std::uint64_t width);
+  void Reals(const std::vector<real_t>& v);
+  std::string& bytes() { return bytes_; }
+
+ private:
+  void Append(const void* data, std::size_t n) {
+    bytes_.append(static_cast<const char*>(data), n);
+  }
+
+  std::string bytes_;
+};
+
+/// Decodes a section payload field by field. Every read is bounds-checked,
+/// and an array's declared count is checked against the bytes left before
+/// anything is allocated for it. The first problem sticks: later reads
+/// return zeros and empty arrays, and status()/Finish() report it as an
+/// IoError naming the section.
+class PayloadReader {
+ public:
+  /// Views `section`'s payload, which must outlive the reader.
+  explicit PayloadReader(Section section) : section_(std::move(section)) {}
+
+  std::uint64_t U64();
+  double F64();
+  std::string Text();
+  std::vector<index_t> Indices(std::uint64_t count, std::uint64_t width);
+  /// What PayloadWriter::IndexArray wrote.
+  std::vector<index_t> IndexArray();
+  std::vector<real_t> Reals(std::uint64_t count);
+
+  const Status& status() const { return status_; }
+  /// status(), or an error when bytes are left unread.
+  Status Finish();
+  /// An IoError naming the section.
+  Status Malformed(const std::string& what) const;
+
+ private:
+  void Fail(const std::string& what);
+  /// Whether `count` entries of `width` bytes remain.
+  bool Fits(std::uint64_t count, std::uint64_t width);
+  void Read(void* out, std::size_t n);
+
+  Section section_;
+  std::size_t pos_ = 0;
+  Status status_ = Status::Ok();
+};
 
 }  // namespace bepi
 

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/fileio.hpp"
+#include "common/json.hpp"
 
 namespace bepi {
 
@@ -62,38 +63,12 @@ std::uint64_t NowMicros() {
 /// Depth of the calling thread's open-span stack; owner-thread only.
 thread_local int t_depth = 0;
 
-void AppendJsonEscaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 void AppendEvent(std::ostream& out, const TraceEvent& event, int tid,
                  bool* first) {
   out << (*first ? "\n  " : ",\n  ");
   *first = false;
   out << "{\"name\": ";
-  AppendJsonEscaped(out, event.name);
+  out << JsonQuote(event.name);
   out << ", \"ph\": \"X\", \"ts\": " << event.start_us
       << ", \"dur\": " << event.dur_us << ", \"pid\": 1, \"tid\": " << tid
       << ", \"args\": {";
@@ -101,9 +76,7 @@ void AppendEvent(std::ostream& out, const TraceEvent& event, int tid,
   for (const auto& [key, value] : event.args) {
     if (!first_arg) out << ", ";
     first_arg = false;
-    AppendJsonEscaped(out, key);
-    out << ": ";
-    AppendJsonEscaped(out, value);
+    out << JsonQuote(key) << ": " << JsonQuote(value);
   }
   if (!first_arg) out << ", ";
   out << "\"depth\": \"" << event.depth << "\"}}";

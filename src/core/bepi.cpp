@@ -1,9 +1,7 @@
 #include "core/bepi.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -20,6 +18,7 @@
 #include "core/topk.hpp"
 #include "engine/mc/mc.hpp"
 #include "solver/gmres.hpp"
+#include "sparse/io.hpp"
 
 namespace bepi {
 
@@ -90,7 +89,7 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
   info_.factor_seconds = dec_.factor_seconds;
   info_.schur_seconds = dec_.schur_seconds;
   if (checkpoints != nullptr) {
-    info_.checkpoint_seconds = checkpoints->write_seconds();
+    info_.checkpoint_seconds = dec_.checkpoint_seconds;
     info_.checkpoints_written = checkpoints->checkpoints_written();
     info_.checkpoints_resumed = checkpoints->checkpoints_resumed();
   }
@@ -632,11 +631,10 @@ std::uint64_t BepiSolver::PreprocessedBytes() const {
 namespace {
 
 // Model format v4 (DESIGN.md §9): the checksummed framing of
-// common/sections.hpp around raw little-endian arrays, so a load decodes
-// arrays instead of parsing text and adopts the persisted ILU(0) factors
-// instead of refactoring S.
-static_assert(std::endian::native == std::endian::little,
-              "model format v4 stores raw little-endian arrays");
+// common/sections.hpp around raw little-endian arrays (its PayloadWriter,
+// sparse/io.hpp's CSR codec, and core/decomposition.hpp's perm and blocks
+// codecs), so a load decodes arrays instead of parsing text and adopts the
+// persisted ILU(0) factors instead of refactoring S.
 
 /// The nine stored matrices in serialization order with their shapes in
 /// terms of the partition sizes.
@@ -668,175 +666,6 @@ constexpr MatrixSpec kMatrixSpecs[] = {
      &HubSpokeDecomposition::n2},
 };
 
-/// Bytes per stored index: 4 when the compact kernel layout's 32-bit rule
-/// holds (sparse/kernel.hpp FitsCompactDims), 8 otherwise.
-std::uint64_t IndexWidth(index_t rows, index_t cols, index_t nnz) {
-  return FitsCompactDims(rows, cols, nnz) ? sizeof(std::uint32_t)
-                                          : sizeof(index_t);
-}
-
-/// Builds a section payload from 8-byte fields and raw arrays.
-class PayloadWriter {
- public:
-  void U64(std::uint64_t v) { Append(&v, sizeof(v)); }
-  void F64(double v) { Append(&v, sizeof(v)); }
-  /// The entries of `v` at `width` bytes each; at width 4 every entry must
-  /// fit in 32 bits (IndexWidth guarantees it).
-  void Indices(const std::vector<index_t>& v, std::uint64_t width) {
-    if (width == sizeof(index_t)) {
-      Append(v.data(), v.size() * sizeof(index_t));
-      return;
-    }
-    const std::size_t at = bytes_.size();
-    bytes_.resize(at + v.size() * sizeof(std::uint32_t));
-    char* out = bytes_.data() + at;
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const auto narrow = static_cast<std::uint32_t>(v[i]);
-      std::memcpy(out + i * sizeof(narrow), &narrow, sizeof(narrow));
-    }
-  }
-  void Reals(const std::vector<real_t>& v) {
-    Append(v.data(), v.size() * sizeof(real_t));
-  }
-  std::string& bytes() { return bytes_; }
-
- private:
-  void Append(const void* data, std::size_t n) {
-    bytes_.append(static_cast<const char*>(data), n);
-  }
-
-  std::string bytes_;
-};
-
-/// Decodes a section payload field by field. Every read is bounds-checked,
-/// and an array's declared count is checked against the bytes left before
-/// anything is allocated for it. The first problem sticks: later reads
-/// return zeros and empty arrays, and status()/Finish() report it.
-class PayloadReader {
- public:
-  explicit PayloadReader(const Section& section) : section_(section) {}
-
-  std::uint64_t U64() {
-    std::uint64_t v = 0;
-    Read(&v, sizeof(v));
-    return v;
-  }
-  double F64() {
-    double v = 0.0;
-    Read(&v, sizeof(v));
-    return v;
-  }
-  std::vector<index_t> Indices(std::uint64_t count, std::uint64_t width) {
-    std::vector<index_t> v;
-    if (width != sizeof(std::uint32_t) && width != sizeof(index_t)) {
-      Fail("index width " + std::to_string(width));
-    }
-    if (!Fits(count, width)) return v;
-    v.resize(static_cast<std::size_t>(count));
-    const char* in = section_.payload.data() + pos_;
-    if (width == sizeof(index_t)) {
-      std::memcpy(v.data(), in, v.size() * sizeof(index_t));
-    } else {
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        std::uint32_t narrow = 0;
-        std::memcpy(&narrow, in + i * sizeof(narrow), sizeof(narrow));
-        v[i] = narrow;
-      }
-    }
-    pos_ += v.size() * width;
-    return v;
-  }
-  std::vector<real_t> Reals(std::uint64_t count) {
-    std::vector<real_t> v;
-    if (!Fits(count, sizeof(real_t))) return v;
-    v.resize(static_cast<std::size_t>(count));
-    std::memcpy(v.data(), section_.payload.data() + pos_,
-                v.size() * sizeof(real_t));
-    pos_ += v.size() * sizeof(real_t);
-    return v;
-  }
-
-  const Status& status() const { return status_; }
-  /// status(), or an error when bytes are left unread.
-  Status Finish() {
-    if (pos_ != section_.payload.size()) {
-      Fail(std::to_string(section_.payload.size() - pos_) +
-           " trailing bytes");
-    }
-    return status_;
-  }
-  /// An IoError naming the section.
-  Status Malformed(const std::string& what) const {
-    return Status::IoError("malformed BePI model section '" +
-                           section_.name + "': " + what);
-  }
-
- private:
-  void Fail(const std::string& what) {
-    if (status_.ok()) status_ = Malformed(what);
-  }
-  /// Whether `count` entries of `width` bytes remain (division, so a
-  /// hostile count cannot overflow the product).
-  bool Fits(std::uint64_t count, std::uint64_t width) {
-    if (!status_.ok()) return false;
-    const std::uint64_t left = section_.payload.size() - pos_;
-    if (count > left / width) {
-      Fail("claims " + std::to_string(count) + " entries of " +
-           std::to_string(width) + " bytes but only " + std::to_string(left) +
-           " bytes remain");
-      return false;
-    }
-    return true;
-  }
-  void Read(void* out, std::size_t n) {
-    if (!Fits(1, n)) return;
-    std::memcpy(out, section_.payload.data() + pos_, n);
-    pos_ += n;
-  }
-
-  const Section& section_;
-  std::size_t pos_ = 0;
-  Status status_ = Status::Ok();
-};
-
-/// rows, cols, nnz, index width, then row_ptr, col_idx and the values.
-std::string EncodeMatrix(const CsrMatrix& m) {
-  const std::uint64_t width = IndexWidth(m.rows(), m.cols(), m.nnz());
-  PayloadWriter out;
-  out.U64(static_cast<std::uint64_t>(m.rows()));
-  out.U64(static_cast<std::uint64_t>(m.cols()));
-  out.U64(static_cast<std::uint64_t>(m.nnz()));
-  out.U64(width);
-  out.Indices(m.row_ptr(), width);
-  out.Indices(m.col_idx(), width);
-  out.Reals(m.values());
-  return std::move(out.bytes());
-}
-
-/// The matrix in `section`, which must have the shape rows x cols (known
-/// from the partition sizes), validated by CsrMatrix::FromParts.
-Result<CsrMatrix> DecodeMatrix(const Section& section, index_t rows,
-                               index_t cols) {
-  PayloadReader in(section);
-  const std::uint64_t r = in.U64(), c = in.U64(), nnz = in.U64(),
-                      width = in.U64();
-  BEPI_RETURN_IF_ERROR(in.status());
-  if (r != static_cast<std::uint64_t>(rows) ||
-      c != static_cast<std::uint64_t>(cols)) {
-    return in.Malformed("holds a " + std::to_string(r) + "x" +
-                        std::to_string(c) + " matrix, expected " +
-                        std::to_string(rows) + "x" + std::to_string(cols));
-  }
-  std::vector<index_t> row_ptr = in.Indices(r + 1, width);
-  std::vector<index_t> col_idx = in.Indices(nnz, width);
-  std::vector<real_t> values = in.Reals(nnz);
-  BEPI_RETURN_IF_ERROR(in.Finish());
-  Result<CsrMatrix> m = CsrMatrix::FromParts(
-      rows, cols, std::move(row_ptr), std::move(col_idx), std::move(values));
-  if (!m.ok()) return in.Malformed(m.status().message());
-  return m;
-}
-
 /// Level count, then level_ptr and the rows (a factor of `rows` rows).
 void EncodeSchedule(const LevelSchedule& s, std::uint64_t width,
                     PayloadWriter* out) {
@@ -863,6 +692,18 @@ Result<LevelSchedule> DecodeSchedule(PayloadReader* in, std::uint64_t width,
       LevelSchedule::FromParts(std::move(level_ptr), std::move(order));
   if (!schedule.ok()) return in->Malformed(schedule.status().message());
   return schedule;
+}
+
+/// Whether a v4 writer produces a section called `name`.
+bool IsModelSection(std::string_view name) {
+  for (const MatrixSpec& spec : kMatrixSpecs) {
+    if (name == spec.name) return true;
+  }
+  for (std::string_view other : {"options", "perm", "ilu0", "kernel",
+                                 "blocks"}) {
+    if (name == other) return true;
+  }
+  return false;
 }
 
 /// Where a non-v4 header came from, for the rejection message.
@@ -895,16 +736,7 @@ Status BepiSolver::Save(std::ostream& out) const {
     options.F64(effective_hub_ratio_);
     BEPI_RETURN_IF_ERROR(writer.Add("options", options.bytes()));
   }
-  {
-    const std::uint64_t width = IndexWidth(dec_.n, dec_.n, 0);
-    PayloadWriter perm;
-    for (index_t size : {dec_.n, dec_.n1, dec_.n2, dec_.n3}) {
-      perm.U64(static_cast<std::uint64_t>(size));
-    }
-    perm.U64(width);
-    perm.Indices(dec_.perm, width);
-    BEPI_RETURN_IF_ERROR(writer.Add("perm", perm.bytes()));
-  }
+  BEPI_RETURN_IF_ERROR(writer.Add("perm", EncodePerm(dec_)));
   for (const MatrixSpec& spec : kMatrixSpecs) {
     BEPI_RETURN_IF_ERROR(
         writer.Add(spec.name, EncodeMatrix(dec_.*spec.member)));
@@ -930,15 +762,8 @@ Status BepiSolver::Save(std::ostream& out) const {
     }
     BEPI_RETURN_IF_ERROR(writer.Add("kernel", kernel.bytes()));
   }
-  {
-    // Spoke block layout for the top-k pruning tables (core/topk.hpp).
-    const std::uint64_t width = IndexWidth(dec_.n1, dec_.n1, 0);
-    PayloadWriter blocks;
-    blocks.U64(dec_.block_sizes.size());
-    blocks.U64(width);
-    blocks.Indices(dec_.block_sizes, width);
-    BEPI_RETURN_IF_ERROR(writer.Add("blocks", blocks.bytes()));
-  }
+  // Spoke block layout for the top-k pruning tables (core/topk.hpp).
+  BEPI_RETURN_IF_ERROR(writer.Add("blocks", EncodeBlocks(dec_)));
   BEPI_RETURN_IF_ERROR(writer.Finish());
   if (!out) return Status::IoError("failed writing BePI model stream");
   return Status::Ok();
@@ -963,31 +788,24 @@ Result<BepiSolver> BepiSolver::Load(std::string_view model) {
   // payload is decoded.
   BEPI_ASSIGN_OR_RETURN(SectionReader reader,
                         SectionReader::Open(model, kModelMagic));
-  std::map<std::string, Section, std::less<>> sections;
+  std::map<std::string, std::string_view> sections;
   for (;;) {
     BEPI_ASSIGN_OR_RETURN(std::optional<Section> next, reader.Next());
     if (!next.has_value()) break;
-    const std::string name = next->name;
-    if (!sections.emplace(name, std::move(*next)).second) {
-      return Status::DataLoss("BePI model holds section '" + name +
+    if (!IsModelSection(next->name)) {
+      return Status::IoError("BePI model holds an unknown section '" +
+                             next->name + "'");
+    }
+    if (!sections.emplace(next->name, next->payload).second) {
+      return Status::DataLoss("BePI model holds section '" + next->name +
                               "' twice");
     }
   }
-  // Hands out each section once; whatever is left at the end is unknown.
-  auto take = [&sections](std::string_view name) -> Result<Section> {
-    const auto it = sections.find(name);
-    if (it == sections.end()) {
-      return Status::DataLoss("BePI model lacks section '" +
-                              std::string(name) + "'");
-    }
-    Section section = std::move(it->second);
-    sections.erase(it);
-    return section;
-  };
 
   BepiOptions options;
   {
-    BEPI_ASSIGN_OR_RETURN(const Section section, take("options"));
+    BEPI_ASSIGN_OR_RETURN(const Section section,
+                          FindSection(sections, "options"));
     PayloadReader in(section);
     const std::uint64_t mode = in.U64();
     options.restart_prob = in.F64();
@@ -1004,43 +822,26 @@ Result<BepiSolver> BepiSolver::Load(std::string_view model) {
   BepiSolver solver(options);
   HubSpokeDecomposition& dec = solver.dec_;
   {
-    BEPI_ASSIGN_OR_RETURN(const Section section, take("perm"));
-    PayloadReader in(section);
-    const std::uint64_t n = in.U64(), n1 = in.U64(), n2 = in.U64(),
-                        n3 = in.U64(), width = in.U64();
-    BEPI_RETURN_IF_ERROR(in.status());
-    if (n1 > n || n2 > n - n1 || n3 != n - n1 - n2) {
-      return in.Malformed("partition sizes do not add up to n");
-    }
-    // n is bounded by the section size once its entries are read.
-    dec.perm = in.Indices(n, width);
-    BEPI_RETURN_IF_ERROR(in.Finish());
-    if (!IsPermutation(dec.perm)) return in.Malformed("not a permutation");
-    dec.n = static_cast<index_t>(n);
-    dec.n1 = static_cast<index_t>(n1);
-    dec.n2 = static_cast<index_t>(n2);
-    dec.n3 = static_cast<index_t>(n3);
+    BEPI_ASSIGN_OR_RETURN(const Section section, FindSection(sections, "perm"));
+    BEPI_RETURN_IF_ERROR(DecodePerm(section, &dec));
   }
   for (const MatrixSpec& spec : kMatrixSpecs) {
-    BEPI_ASSIGN_OR_RETURN(const Section section, take(spec.name));
+    BEPI_ASSIGN_OR_RETURN(const Section section,
+                          FindSection(sections, spec.name));
     BEPI_ASSIGN_OR_RETURN(
         dec.*spec.member,
         DecodeMatrix(section, dec.*spec.rows, dec.*spec.cols));
   }
   {
-    BEPI_ASSIGN_OR_RETURN(const Section section, take("blocks"));
-    PayloadReader in(section);
-    const std::uint64_t count = in.U64(), width = in.U64();
-    dec.block_sizes = in.Indices(count, width);
-    BEPI_RETURN_IF_ERROR(in.Finish());
-    if (!BlocksTileSpokes(dec.block_sizes, dec.n1)) {
-      return in.Malformed("block sizes do not tile the spoke partition");
-    }
+    BEPI_ASSIGN_OR_RETURN(const Section section,
+                          FindSection(sections, "blocks"));
+    BEPI_RETURN_IF_ERROR(DecodeBlocks(section, &dec));
   }
   // A preconditioned model without factors had ILU(0) break down at
   // preprocess; it loads unpreconditioned (FinalizeLoaded notes it).
   if (sections.count("ilu0") != 0) {
-    BEPI_ASSIGN_OR_RETURN(const Section section, take("ilu0"));
+    BEPI_ASSIGN_OR_RETURN(const Section section,
+                          FindSection(sections, "ilu0"));
     PayloadReader in(section);
     if (options.mode != BepiMode::kPreconditioned || dec.n2 == 0) {
       return in.Malformed("ILU(0) factors in a model without a "
@@ -1054,7 +855,8 @@ Result<BepiSolver> BepiSolver::Load(std::string_view model) {
     solver.ilu_ = std::move(ilu).value();
   }
   {
-    BEPI_ASSIGN_OR_RETURN(const Section section, take("kernel"));
+    BEPI_ASSIGN_OR_RETURN(const Section section,
+                          FindSection(sections, "kernel"));
     PayloadReader in(section);
     const std::uint64_t path = in.U64(), schedules = in.U64();
     BEPI_RETURN_IF_ERROR(in.status());
@@ -1070,10 +872,6 @@ Result<BepiSolver> BepiSolver::Load(std::string_view model) {
                             DecodeSchedule(&in, width, dec.n2));
     }
     BEPI_RETURN_IF_ERROR(in.Finish());
-  }
-  if (!sections.empty()) {
-    return Status::IoError("BePI model holds an unknown section '" +
-                           sections.begin()->first + "'");
   }
   solver.FinalizeLoaded();
   return solver;

@@ -141,8 +141,9 @@ struct BepiPreprocessInfo {
   /// continued without the preconditioner (enable_fallbacks only).
   bool ilu_skipped = false;
   // Checkpointing overhead (zero when preprocessing ran without a
-  // CheckpointManager); lets bench_fig1_preprocessing report the cost of
-  // kill-safety against the paper's preprocessing-time figures.
+  // CheckpointManager): payload encoding, framing, write and fsync. Lets
+  // bench_fig1_preprocessing report the cost of kill-safety against the
+  // paper's preprocessing-time figures.
   double checkpoint_seconds = 0.0;
   index_t checkpoints_written = 0;
   index_t checkpoints_resumed = 0;

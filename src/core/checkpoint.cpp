@@ -3,7 +3,6 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
 
 #include "common/checksum.hpp"
 #include "common/faultinject.hpp"
@@ -15,7 +14,7 @@
 namespace bepi {
 namespace {
 
-constexpr char kCheckpointMagic[] = "BEPI-CKPT v1";
+constexpr char kCheckpointMagic[] = "BEPI-CKPT v2";
 
 /// Stage names become file names; anything outside [A-Za-z0-9_.-] is
 /// mapped to '_' (stages like "factor" and "slashburn.round" pass through).
@@ -28,13 +27,6 @@ std::string SanitizeStage(const std::string& stage) {
     if (!keep) c = '_';
   }
   return out;
-}
-
-std::string FingerprintHex(std::uint64_t fingerprint) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buf;
 }
 
 }  // namespace
@@ -58,10 +50,10 @@ Status CheckpointManager::Write(
   AtomicFileWriter writer(FilePath(stage));
   BEPI_RETURN_IF_ERROR(writer.status());
   SectionWriter framer(writer.stream(), kCheckpointMagic);
-  std::ostringstream meta;
-  meta << "fingerprint " << FingerprintHex(fingerprint_) << "\n"
-       << "stage " << stage << "\n";
-  BEPI_RETURN_IF_ERROR(framer.Add("meta", meta.str()));
+  PayloadWriter meta;
+  meta.U64(fingerprint_);
+  meta.Text(stage);
+  BEPI_RETURN_IF_ERROR(framer.Add("meta", meta.bytes()));
   for (const auto& [name, payload] : sections) {
     BEPI_RETURN_IF_ERROR(framer.Add(name, payload));
   }
@@ -85,22 +77,24 @@ Result<std::map<std::string, std::string>> CheckpointManager::Read(
     return Status::NotFound("no checkpoint for stage '" + stage + "'");
   }
   auto invalid = [&](const Status& why) {
-    BEPI_LOG(Warning) << "ignoring checkpoint " << path << ": "
-                      << why.ToString();
+    Warn(stage, why);
     return Status::NotFound("checkpoint for stage '" + stage +
                             "' is unusable: " + why.ToString());
   };
+  // A checkpoint of another format version (e.g. a v1 text one) fails the
+  // magic check and is recomputed.
   Result<SectionReader> reader =
       SectionReader::Open(*content, kCheckpointMagic);
   if (!reader.ok()) return invalid(reader.status());
   Result<Section> meta = reader->Expect("meta");
   if (!meta.ok()) return invalid(meta.status());
-  std::istringstream meta_stream{std::string(meta->payload)};
-  std::string key, fingerprint_hex, stage_key, stored_stage;
-  meta_stream >> key >> fingerprint_hex >> stage_key >> stored_stage;
-  if (key != "fingerprint" ||
-      fingerprint_hex != FingerprintHex(fingerprint_) ||
-      stage_key != "stage" || stored_stage != stage) {
+  PayloadReader meta_fields(*meta);
+  const std::uint64_t fingerprint = meta_fields.U64();
+  const std::string stored_stage = meta_fields.Text();
+  if (const Status decoded = meta_fields.Finish(); !decoded.ok()) {
+    return invalid(decoded);
+  }
+  if (fingerprint != fingerprint_ || stored_stage != stage) {
     return invalid(Status::FailedPrecondition(
         "stale checkpoint (graph or options changed)"));
   }
@@ -113,6 +107,17 @@ Result<std::map<std::string, std::string>> CheckpointManager::Read(
   }
   ++resumed_;
   return result;
+}
+
+void CheckpointManager::Reject(const std::string& stage, const Status& why) {
+  Warn(stage, why);
+  --resumed_;
+}
+
+void CheckpointManager::Warn(const std::string& stage,
+                             const Status& why) const {
+  BEPI_LOG(Warning) << "ignoring checkpoint " << FilePath(stage) << ": "
+                    << why.ToString();
 }
 
 void CheckpointManager::Invalidate(const std::string& stage) {

@@ -9,9 +9,13 @@
 // from-scratch run would produce.
 //
 // Each checkpoint file is a section-framed stream (common/sections.hpp)
-// with magic "BEPI-CKPT v1" whose first section binds it to a fingerprint
-// of the (graph, options) pair; stale or corrupt checkpoints are ignored
-// with a warning — resume never trades correctness for speed.
+// with magic "BEPI-CKPT v2" whose first section, `meta`, binds it to a
+// fingerprint of the (graph, options) pair and to its stage. Payloads are
+// binary, in the encoding of model format v4 (PayloadWriter, and the CSR
+// codec of sparse/io.hpp): a checkpointed S is the model's `schur` section
+// byte for byte. Stale or corrupt checkpoints, and those of an older format
+// (the v1 text checkpoints), are ignored with a warning and their stage is
+// recomputed — resume never trades correctness for speed.
 #ifndef BEPI_CORE_CHECKPOINT_HPP_
 #define BEPI_CORE_CHECKPOINT_HPP_
 
@@ -52,20 +56,27 @@ class CheckpointManager {
   /// integrity checks — callers recompute the stage in all three cases.
   Result<std::map<std::string, std::string>> Read(const std::string& stage);
 
+  /// Takes back a successful Read of `stage` whose payloads the caller
+  /// could not use (`why`): logs the same warning an unusable checkpoint
+  /// gets, and it no longer counts in checkpoints_resumed().
+  void Reject(const std::string& stage, const Status& why);
+
   /// Removes `stage`'s checkpoint file if present (used when a stage's
   /// inputs were recomputed, invalidating downstream snapshots).
   void Invalidate(const std::string& stage);
 
   const std::string& dir() const { return dir_; }
 
-  // Overhead accounting, surfaced through BepiPreprocessInfo so the
-  // benchmarks can report checkpointing cost.
+  // Overhead accounting. write_seconds() covers framing, write and fsync;
+  // BepiPreprocessInfo::checkpoint_seconds adds the payload encoding the
+  // caller does before Write.
   double write_seconds() const { return write_seconds_; }
   index_t checkpoints_written() const { return written_; }
   index_t checkpoints_resumed() const { return resumed_; }
 
  private:
   std::string FilePath(const std::string& stage) const;
+  void Warn(const std::string& stage, const Status& why) const;
 
   std::string dir_;
   std::uint64_t fingerprint_ = 0;

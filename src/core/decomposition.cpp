@@ -1,8 +1,9 @@
 #include "core/decomposition.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/check.hpp"
@@ -31,6 +32,7 @@ constexpr char kStageFactor[] = "factor";
 constexpr char kStageSchur[] = "schur";
 
 using CheckpointSections = std::map<std::string, std::string>;
+using CheckpointPayloads = std::vector<std::pair<std::string, std::string>>;
 
 /// Dense LU without pivoting, valid for the strictly diagonally dominant
 /// H11 blocks. Returns packed LU (L unit-lower below the diagonal, U on
@@ -54,123 +56,117 @@ Status FactorNoPivot(DenseMatrix* a) {
   return Status::Ok();
 }
 
-std::string EncodeIndexVector(const std::vector<index_t>& v) {
-  std::ostringstream out;
-  out << v.size() << "\n";
-  for (index_t x : v) out << x << "\n";
-  return out.str();
+/// Bytes per entry of an index array whose entries lie in [0, bound].
+std::uint64_t WidthFor(index_t bound) { return IndexWidth(bound, bound, 0); }
+
+/// Whether the block sizes `sizes` are all positive and sum to exactly
+/// `spokes`.
+bool BlocksTileSpokes(const std::vector<index_t>& sizes, index_t spokes) {
+  // Subtracts rather than sums, so hostile sizes cannot overflow.
+  index_t left = spokes;
+  for (index_t size : sizes) {
+    if (size <= 0 || size > left) return false;
+    left -= size;
+  }
+  return left == 0;
 }
 
-Status DecodeIndexVector(const std::string& payload,
-                         std::vector<index_t>* out) {
-  std::istringstream in(payload);
-  std::uint64_t count = 0;
-  if (!(in >> count)) {
-    return Status::DataLoss("index vector payload has no size line");
-  }
-  // Each entry occupies at least two bytes ("0\n"); a count beyond the
-  // payload size is a lie and must not drive a reserve().
-  if (count > payload.size()) {
-    return Status::DataLoss("index vector claims " + std::to_string(count) +
-                            " entries in a " +
-                            std::to_string(payload.size()) + "-byte payload");
-  }
-  out->clear();
-  out->reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    index_t x = 0;
-    if (!(in >> x)) return Status::DataLoss("truncated index vector payload");
-    out->push_back(x);
-  }
-  return Status::Ok();
-}
-
-Result<std::string> EncodeMatrix(const CsrMatrix& m) {
-  std::ostringstream out;
-  BEPI_RETURN_IF_ERROR(WriteMatrixMarket(m, out));
-  return out.str();
-}
-
-Result<CsrMatrix> DecodeMatrix(const std::string& payload, index_t rows,
-                               index_t cols) {
-  std::istringstream in(payload);
-  return ReadMatrixMarket(in, rows, cols);
-}
-
-Result<const std::string*> FindPayload(const CheckpointSections& sections,
-                                       const std::string& name) {
-  auto it = sections.find(name);
-  if (it == sections.end()) {
-    return Status::DataLoss("checkpoint lacks a '" + name + "' section");
-  }
-  return &it->second;
+/// Checkpoint payloads, in v4 terms (DESIGN.md §9). Sections that hold a
+/// model artifact carry that model section's name and bytes.
+CheckpointPayloads EncodeDeadend(const DeadendPartition& deadends,
+                                 index_t n) {
+  PayloadWriter out;
+  out.U64(static_cast<std::uint64_t>(deadends.num_non_deadends));
+  out.U64(static_cast<std::uint64_t>(deadends.num_deadends));
+  out.IndexArray(deadends.perm, WidthFor(n));
+  return {{kStageDeadend, std::move(out.bytes())}};
 }
 
 Status DecodeDeadend(const CheckpointSections& sections, index_t n,
                      DeadendPartition* out) {
-  BEPI_ASSIGN_OR_RETURN(const std::string* counts,
-                        FindPayload(sections, "counts"));
-  std::istringstream in(*counts);
-  if (!(in >> out->num_non_deadends >> out->num_deadends)) {
-    return Status::DataLoss("malformed deadend counts");
+  BEPI_ASSIGN_OR_RETURN(const Section section,
+                        FindSection(sections, kStageDeadend));
+  PayloadReader in(section);
+  const std::uint64_t non_deadends = in.U64(), deadends = in.U64();
+  out->perm = in.IndexArray();
+  BEPI_RETURN_IF_ERROR(in.Finish());
+  const auto un = static_cast<std::uint64_t>(n);
+  if (non_deadends > un || deadends != un - non_deadends ||
+      out->perm.size() != un || !IsPermutation(out->perm)) {
+    return in.Malformed("inconsistent with a graph of " + std::to_string(n) +
+                        " nodes");
   }
-  BEPI_ASSIGN_OR_RETURN(const std::string* perm,
-                        FindPayload(sections, "perm"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*perm, &out->perm));
-  if (out->num_non_deadends < 0 || out->num_deadends < 0 ||
-      out->num_non_deadends + out->num_deadends != n ||
-      static_cast<index_t>(out->perm.size()) != n ||
-      !IsPermutation(out->perm)) {
-    return Status::DataLoss("deadend checkpoint is inconsistent");
-  }
+  out->num_non_deadends = static_cast<index_t>(non_deadends);
+  out->num_deadends = static_cast<index_t>(deadends);
   return Status::Ok();
+}
+
+CheckpointPayloads EncodeSlashBurnRound(const SlashBurnResult& round,
+                                        index_t nn) {
+  PayloadWriter out;
+  out.U64(static_cast<std::uint64_t>(round.num_spokes));
+  out.U64(static_cast<std::uint64_t>(round.num_hubs));
+  out.U64(static_cast<std::uint64_t>(round.iterations));
+  // Unassigned nodes hold -1, which only the 8-byte width stores.
+  out.IndexArray(round.perm, sizeof(index_t));
+  out.IndexArray(round.block_sizes, WidthFor(nn));
+  return {{"round", std::move(out.bytes())}};
 }
 
 Status DecodeSlashBurnRound(const CheckpointSections& sections, index_t nn,
                             SlashBurnResult* out) {
-  BEPI_ASSIGN_OR_RETURN(const std::string* counts,
-                        FindPayload(sections, "counts"));
-  std::istringstream in(*counts);
-  if (!(in >> out->num_spokes >> out->num_hubs >> out->iterations)) {
-    return Status::DataLoss("malformed SlashBurn round counts");
+  BEPI_ASSIGN_OR_RETURN(const Section section, FindSection(sections, "round"));
+  PayloadReader in(section);
+  const std::uint64_t spokes = in.U64(), hubs = in.U64(), rounds = in.U64();
+  out->perm = in.IndexArray();
+  out->block_sizes = in.IndexArray();
+  BEPI_RETURN_IF_ERROR(in.Finish());
+  const auto unn = static_cast<std::uint64_t>(nn);
+  if (spokes > unn || hubs > unn - spokes || rounds > unn ||
+      out->perm.size() != unn ||
+      !BlocksTileSpokes(out->block_sizes, static_cast<index_t>(spokes))) {
+    return in.Malformed("inconsistent with " + std::to_string(nn) +
+                        " non-deadend nodes");
   }
-  BEPI_ASSIGN_OR_RETURN(const std::string* perm,
-                        FindPayload(sections, "perm"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*perm, &out->perm));
-  BEPI_ASSIGN_OR_RETURN(const std::string* blocks,
-                        FindPayload(sections, "blocks"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*blocks, &out->block_sizes));
-  if (static_cast<index_t>(out->perm.size()) != nn) {
-    return Status::DataLoss("SlashBurn round checkpoint is inconsistent");
-  }
-  // Deeper consistency (assigned-id accounting) is re-validated by
-  // SlashBurn() itself before the state is trusted.
+  out->num_spokes = static_cast<index_t>(spokes);
+  out->num_hubs = static_cast<index_t>(hubs);
+  out->iterations = static_cast<index_t>(rounds);
+  // Which ids the round assigned is validated by SlashBurn() before the
+  // state is trusted.
   return Status::Ok();
+}
+
+CheckpointPayloads EncodeReorder(const HubSpokeDecomposition& dec) {
+  PayloadWriter rounds;
+  rounds.U64(static_cast<std::uint64_t>(dec.slashburn_iterations));
+  return {{"perm", EncodePerm(dec)},
+          {"blocks", EncodeBlocks(dec)},
+          {"slashburn", std::move(rounds.bytes())}};
 }
 
 Status DecodeReorder(const CheckpointSections& sections,
                      HubSpokeDecomposition* dec) {
-  BEPI_ASSIGN_OR_RETURN(const std::string* sizes,
-                        FindPayload(sections, "sizes"));
-  std::istringstream in(*sizes);
-  index_t n = -1;
-  if (!(in >> n >> dec->n1 >> dec->n2 >> dec->n3 >>
-        dec->slashburn_iterations)) {
-    return Status::DataLoss("malformed reorder sizes");
+  HubSpokeDecomposition stored;
+  BEPI_ASSIGN_OR_RETURN(const Section perm, FindSection(sections, "perm"));
+  BEPI_RETURN_IF_ERROR(DecodePerm(perm, &stored));
+  if (stored.n != dec->n) {
+    return PayloadReader(perm).Malformed(
+        "orders " + std::to_string(stored.n) + " nodes, the graph has " +
+        std::to_string(dec->n));
   }
-  BEPI_ASSIGN_OR_RETURN(const std::string* perm,
-                        FindPayload(sections, "perm"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*perm, &dec->perm));
-  BEPI_ASSIGN_OR_RETURN(const std::string* blocks,
-                        FindPayload(sections, "blocks"));
-  BEPI_RETURN_IF_ERROR(DecodeIndexVector(*blocks, &dec->block_sizes));
-  if (n != dec->n || dec->n1 < 0 || dec->n2 < 0 || dec->n3 < 0 ||
-      dec->n1 + dec->n2 + dec->n3 != dec->n ||
-      !BlocksTileSpokes(dec->block_sizes, dec->n1) ||
-      static_cast<index_t>(dec->perm.size()) != dec->n ||
-      !IsPermutation(dec->perm)) {
-    return Status::DataLoss("reorder checkpoint is inconsistent");
-  }
+  BEPI_ASSIGN_OR_RETURN(const Section blocks, FindSection(sections, "blocks"));
+  BEPI_RETURN_IF_ERROR(DecodeBlocks(blocks, &stored));
+  BEPI_ASSIGN_OR_RETURN(const Section rounds,
+                        FindSection(sections, "slashburn"));
+  PayloadReader in(rounds);
+  stored.slashburn_iterations = static_cast<index_t>(in.U64());
+  BEPI_RETURN_IF_ERROR(in.Finish());
+  dec->n1 = stored.n1;
+  dec->n2 = stored.n2;
+  dec->n3 = stored.n3;
+  dec->perm = std::move(stored.perm);
+  dec->block_sizes = std::move(stored.block_sizes);
+  dec->slashburn_iterations = stored.slashburn_iterations;
   return Status::Ok();
 }
 
@@ -184,64 +180,95 @@ void AppendCsrToCoo(const CsrMatrix& m, CooMatrix* out) {
   }
 }
 
+/// Leaves the outputs untouched unless the whole checkpoint decodes.
 Status DecodeFactor(const CheckpointSections& sections, index_t n1,
                     std::size_t num_blocks, std::size_t* blocks_done,
                     CooMatrix* l1, CooMatrix* u1) {
-  BEPI_ASSIGN_OR_RETURN(const std::string* progress,
-                        FindPayload(sections, "progress"));
-  std::istringstream in(*progress);
-  std::uint64_t done = 0;
-  if (!(in >> done) || done > num_blocks) {
-    return Status::DataLoss("malformed factor progress");
+  BEPI_ASSIGN_OR_RETURN(const Section progress,
+                        FindSection(sections, "progress"));
+  PayloadReader in(progress);
+  const std::uint64_t done = in.U64();
+  BEPI_RETURN_IF_ERROR(in.Finish());
+  if (done > num_blocks) {
+    return in.Malformed(std::to_string(done) + " of " +
+                        std::to_string(num_blocks) + " blocks done");
   }
-  BEPI_ASSIGN_OR_RETURN(const std::string* l1_text,
-                        FindPayload(sections, "l1"));
-  BEPI_ASSIGN_OR_RETURN(CsrMatrix l1_csr, DecodeMatrix(*l1_text, n1, n1));
-  BEPI_ASSIGN_OR_RETURN(const std::string* u1_text,
-                        FindPayload(sections, "u1"));
-  BEPI_ASSIGN_OR_RETURN(CsrMatrix u1_csr, DecodeMatrix(*u1_text, n1, n1));
+  BEPI_ASSIGN_OR_RETURN(const Section l1_inv, FindSection(sections, "l1_inv"));
+  BEPI_ASSIGN_OR_RETURN(CsrMatrix l1_csr, DecodeMatrix(l1_inv, n1, n1));
+  BEPI_ASSIGN_OR_RETURN(const Section u1_inv, FindSection(sections, "u1_inv"));
+  BEPI_ASSIGN_OR_RETURN(CsrMatrix u1_csr, DecodeMatrix(u1_inv, n1, n1));
   AppendCsrToCoo(l1_csr, l1);
   AppendCsrToCoo(u1_csr, u1);
   *blocks_done = static_cast<std::size_t>(done);
   return Status::Ok();
 }
 
-Status WriteFactorCsrCheckpoint(CheckpointManager* checkpoints,
-                                std::size_t blocks_done,
-                                const CsrMatrix& l1_csr,
-                                const CsrMatrix& u1_csr) {
-  BEPI_ASSIGN_OR_RETURN(std::string l1_text, EncodeMatrix(l1_csr));
-  BEPI_ASSIGN_OR_RETURN(std::string u1_text, EncodeMatrix(u1_csr));
-  std::ostringstream progress;
-  progress << blocks_done << "\n";
-  return checkpoints->Write(kStageFactor, {{"progress", progress.str()},
-                                           {"l1", std::move(l1_text)},
-                                           {"u1", std::move(u1_text)}});
+CheckpointPayloads EncodeFactor(std::size_t blocks_done,
+                                const CsrMatrix& l1_inv,
+                                const CsrMatrix& u1_inv) {
+  PayloadWriter progress;
+  progress.U64(blocks_done);
+  return {{"progress", std::move(progress.bytes())},
+          {"l1_inv", EncodeMatrix(l1_inv)},
+          {"u1_inv", EncodeMatrix(u1_inv)}};
 }
 
-Status WriteFactorCheckpoint(CheckpointManager* checkpoints,
-                             std::size_t blocks_done, const CooMatrix& l1,
-                             const CooMatrix& u1) {
-  // Partial COO state round-trips through sorted CSR; the final ToCsr()
-  // sorts anyway, so the resumed run converges to the same matrices.
-  BEPI_ASSIGN_OR_RETURN(CsrMatrix l1_csr, l1.ToCsr());
-  BEPI_ASSIGN_OR_RETURN(CsrMatrix u1_csr, u1.ToCsr());
-  return WriteFactorCsrCheckpoint(checkpoints, blocks_done, l1_csr, u1_csr);
+CheckpointPayloads EncodeSchur(const HubSpokeDecomposition& dec) {
+  PayloadWriter product;
+  product.U64(static_cast<std::uint64_t>(dec.product_nnz));
+  return {{"product_nnz", std::move(product.bytes())},
+          {"schur", EncodeMatrix(dec.schur)}};
 }
 
-/// Checkpoint writes are best-effort: a failure costs durability of this
-/// resume point, never the run. (The checkpoint.crash SIGKILL site fires
-/// inside Write itself, after a successful commit.)
-void WarnOnCheckpointFailure(const Status& status, const char* stage) {
+Status DecodeSchur(const CheckpointSections& sections,
+                   HubSpokeDecomposition* dec) {
+  BEPI_ASSIGN_OR_RETURN(const Section product,
+                        FindSection(sections, "product_nnz"));
+  PayloadReader in(product);
+  const std::uint64_t product_nnz = in.U64();
+  BEPI_RETURN_IF_ERROR(in.Finish());
+  if (product_nnz > static_cast<std::uint64_t>(
+                        std::numeric_limits<index_t>::max())) {
+    return in.Malformed("product nnz " + std::to_string(product_nnz));
+  }
+  BEPI_ASSIGN_OR_RETURN(const Section schur, FindSection(sections, "schur"));
+  BEPI_ASSIGN_OR_RETURN(dec->schur, DecodeMatrix(schur, dec->n2, dec->n2));
+  dec->product_nnz = static_cast<index_t>(product_nnz);
+  return Status::Ok();
+}
+
+/// `stage`'s checkpoint, decoded by `decode`; false when there is no usable
+/// one. A checkpoint `decode` rejects is handed back to the manager, so it
+/// is not counted as resumed, and the stage is recomputed.
+template <typename Decode>
+bool Resume(CheckpointManager* checkpoints, const char* stage,
+            Decode decode) {
+  if (checkpoints == nullptr) return false;
+  Result<CheckpointSections> sections = checkpoints->Read(stage);
+  if (!sections.ok()) return false;
+  const Status decoded = decode(*sections);
+  if (!decoded.ok()) checkpoints->Reject(stage, decoded);
+  return decoded.ok();
+}
+
+/// Writes `stage`'s checkpoint, if there are checkpoints, from the sections
+/// `encode` returns, adding the seconds spent, encoding included, to
+/// dec->checkpoint_seconds. Writes are best-effort: a failure costs
+/// durability of this resume point, never the run. (The checkpoint.crash
+/// SIGKILL site fires inside Write itself, after a successful commit.)
+template <typename Encode>
+void Checkpoint(CheckpointManager* checkpoints, const char* stage,
+                HubSpokeDecomposition* dec, Encode encode) {
+  if (checkpoints == nullptr) return;
+  Timer timer;
+  const Result<CheckpointPayloads> sections = encode();
+  const Status status =
+      sections.ok() ? checkpoints->Write(stage, *sections) : sections.status();
+  dec->checkpoint_seconds += timer.Seconds();
   if (!status.ok()) {
     BEPI_LOG(Warning) << "checkpoint write for stage '" << stage
                       << "' failed: " << status.ToString();
   }
-}
-
-void WarnOnResumeFailure(const Status& status, const char* stage) {
-  BEPI_LOG(Warning) << "ignoring checkpoint for stage '" << stage
-                    << "': " << status.ToString();
 }
 
 }  // namespace
@@ -296,14 +323,50 @@ Vector Unslice(const SlicedVector& r, index_t j,
   return out;
 }
 
-bool BlocksTileSpokes(const std::vector<index_t>& sizes, index_t n1) {
-  // Subtracts rather than sums, so hostile sizes cannot overflow.
-  index_t left = n1;
-  for (index_t size : sizes) {
-    if (size <= 0 || size > left) return false;
-    left -= size;
+std::string EncodePerm(const HubSpokeDecomposition& dec) {
+  PayloadWriter out;
+  for (index_t size : {dec.n, dec.n1, dec.n2, dec.n3}) {
+    out.U64(static_cast<std::uint64_t>(size));
   }
-  return left == 0;
+  const std::uint64_t width = WidthFor(dec.n);
+  out.U64(width);
+  out.Indices(dec.perm, width);
+  return std::move(out.bytes());
+}
+
+Status DecodePerm(const Section& section, HubSpokeDecomposition* dec) {
+  PayloadReader in(section);
+  const std::uint64_t n = in.U64(), n1 = in.U64(), n2 = in.U64(),
+                      n3 = in.U64(), width = in.U64();
+  BEPI_RETURN_IF_ERROR(in.status());
+  if (n1 > n || n2 > n - n1 || n3 != n - n1 - n2) {
+    return in.Malformed("partition sizes do not add up to n");
+  }
+  // n is bounded by the section size once its entries are read.
+  dec->perm = in.Indices(n, width);
+  BEPI_RETURN_IF_ERROR(in.Finish());
+  if (!IsPermutation(dec->perm)) return in.Malformed("not a permutation");
+  dec->n = static_cast<index_t>(n);
+  dec->n1 = static_cast<index_t>(n1);
+  dec->n2 = static_cast<index_t>(n2);
+  dec->n3 = static_cast<index_t>(n3);
+  return Status::Ok();
+}
+
+std::string EncodeBlocks(const HubSpokeDecomposition& dec) {
+  PayloadWriter out;
+  out.IndexArray(dec.block_sizes, WidthFor(dec.n1));
+  return std::move(out.bytes());
+}
+
+Status DecodeBlocks(const Section& section, HubSpokeDecomposition* dec) {
+  PayloadReader in(section);
+  dec->block_sizes = in.IndexArray();
+  BEPI_RETURN_IF_ERROR(in.Finish());
+  if (!BlocksTileSpokes(dec->block_sizes, dec->n1)) {
+    return in.Malformed("block sizes do not tile the spoke partition");
+  }
+  return Status::Ok();
 }
 
 std::uint64_t HubSpokeDecomposition::CommonBytes() const {
@@ -387,46 +450,22 @@ Result<HubSpokeDecomposition> BuildDecomposition(
   // Steps 1+2: deadend reordering (Section 3.2.1) then hub-and-spoke
   // reordering of Ann via SlashBurn. A "reorder" checkpoint holds the
   // combined outcome and skips both.
-  bool reorder_resumed = false;
-  if (checkpoints != nullptr) {
-    Result<CheckpointSections> ckpt = checkpoints->Read(kStageReorder);
-    if (ckpt.ok()) {
-      const Status decoded = DecodeReorder(*ckpt, &dec);
-      if (decoded.ok()) {
-        reorder_resumed = true;
-      } else {
-        WarnOnResumeFailure(decoded, kStageReorder);
-      }
-    }
-  }
+  const bool reorder_resumed =
+      Resume(checkpoints, kStageReorder, [&](const CheckpointSections& ckpt) {
+        return DecodeReorder(ckpt, &dec);
+      });
   if (!reorder_resumed) {
     DeadendPartition deadends;
-    bool deadend_resumed = false;
-    if (checkpoints != nullptr) {
-      Result<CheckpointSections> ckpt = checkpoints->Read(kStageDeadend);
-      if (ckpt.ok()) {
-        const Status decoded = DecodeDeadend(*ckpt, dec.n, &deadends);
-        if (decoded.ok()) {
-          deadend_resumed = true;
-        } else {
-          WarnOnResumeFailure(decoded, kStageDeadend);
-        }
-      }
-    }
+    const bool deadend_resumed = Resume(
+        checkpoints, kStageDeadend, [&](const CheckpointSections& ckpt) {
+          return DecodeDeadend(ckpt, dec.n, &deadends);
+        });
     if (!deadend_resumed) {
       TraceSpan deadend_span("preprocess.deadend_reorder");
       deadends = ReorderDeadends(g);
       deadend_span.Arg("deadends", deadends.num_deadends);
-      if (checkpoints != nullptr) {
-        std::ostringstream counts;
-        counts << deadends.num_non_deadends << " " << deadends.num_deadends
-               << "\n";
-        WarnOnCheckpointFailure(
-            checkpoints->Write(kStageDeadend,
-                               {{"counts", counts.str()},
-                                {"perm", EncodeIndexVector(deadends.perm)}}),
-            kStageDeadend);
-      }
+      Checkpoint(checkpoints, kStageDeadend, &dec,
+                 [&] { return EncodeDeadend(deadends, dec.n); });
     }
     dec.n3 = deadends.num_deadends;
     const index_t nn = deadends.num_non_deadends;
@@ -448,15 +487,11 @@ Result<HubSpokeDecomposition> BuildDecomposition(
         options.hub_selection == SlashBurnOptions::HubSelection::kDegree;
     Timer since_round_ckpt;
     if (resumable) {
-      Result<CheckpointSections> ckpt =
-          checkpoints->Read(kStageSlashBurnRound);
-      if (ckpt.ok()) {
-        const Status decoded = DecodeSlashBurnRound(*ckpt, nn, &round_state);
-        if (decoded.ok()) {
-          sb_options.resume_from = &round_state;
-        } else {
-          WarnOnResumeFailure(decoded, kStageSlashBurnRound);
-        }
+      if (Resume(checkpoints, kStageSlashBurnRound,
+                 [&](const CheckpointSections& ckpt) {
+                   return DecodeSlashBurnRound(ckpt, nn, &round_state);
+                 })) {
+        sb_options.resume_from = &round_state;
       }
       sb_options.round_hook = [&](const SlashBurnResult& partial) -> Status {
         // A cancellation (SIGINT) commits the round immediately — the
@@ -467,16 +502,8 @@ Result<HubSpokeDecomposition> BuildDecomposition(
             since_round_ckpt.Seconds() < options.checkpoint_interval_seconds) {
           return Status::Ok();
         }
-        std::ostringstream counts;
-        counts << partial.num_spokes << " " << partial.num_hubs << " "
-               << partial.iterations << "\n";
-        WarnOnCheckpointFailure(
-            checkpoints->Write(
-                kStageSlashBurnRound,
-                {{"counts", counts.str()},
-                 {"perm", EncodeIndexVector(partial.perm)},
-                 {"blocks", EncodeIndexVector(partial.block_sizes)}}),
-            kStageSlashBurnRound);
+        Checkpoint(checkpoints, kStageSlashBurnRound, &dec,
+                   [&] { return EncodeSlashBurnRound(partial, nn); });
         since_round_ckpt.Restart();
         if (cancel_now) return cancel_status("slashburn");
         return Status::Ok();
@@ -495,7 +522,7 @@ Result<HubSpokeDecomposition> BuildDecomposition(
     if (!sb_result.ok() && sb_options.resume_from != nullptr) {
       // A checkpoint that passed its checksum but fails SlashBurn's own
       // consistency validation is recomputed, not fatal.
-      WarnOnResumeFailure(sb_result.status(), kStageSlashBurnRound);
+      checkpoints->Reject(kStageSlashBurnRound, sb_result.status());
       sb_options.resume_from = nullptr;
       sb_result = SlashBurn(ann, sb_options);
     }
@@ -519,15 +546,8 @@ Result<HubSpokeDecomposition> BuildDecomposition(
     dec.perm = ComposePermutations(hub_spoke_perm, deadends.perm);
 
     if (checkpoints != nullptr) {
-      std::ostringstream sizes;
-      sizes << dec.n << " " << dec.n1 << " " << dec.n2 << " " << dec.n3
-            << " " << dec.slashburn_iterations << "\n";
-      WarnOnCheckpointFailure(
-          checkpoints->Write(kStageReorder,
-                             {{"sizes", sizes.str()},
-                              {"perm", EncodeIndexVector(dec.perm)},
-                              {"blocks", EncodeIndexVector(dec.block_sizes)}}),
-          kStageReorder);
+      Checkpoint(checkpoints, kStageReorder, &dec,
+                 [&] { return EncodeReorder(dec); });
       // The reorder snapshot supersedes its inputs; drop them so the
       // directory only holds live resume points.
       checkpoints->Invalidate(kStageSlashBurnRound);
@@ -589,19 +609,10 @@ Result<HubSpokeDecomposition> BuildDecomposition(
   const std::size_t num_blocks = dec.block_sizes.size();
   CooMatrix l1_coo(dec.n1, dec.n1), u1_coo(dec.n1, dec.n1);
   std::size_t blocks_done = 0;
-  if (checkpoints != nullptr) {
-    Result<CheckpointSections> ckpt = checkpoints->Read(kStageFactor);
-    if (ckpt.ok()) {
-      const Status decoded = DecodeFactor(*ckpt, dec.n1, num_blocks,
-                                          &blocks_done, &l1_coo, &u1_coo);
-      if (!decoded.ok()) {
-        WarnOnResumeFailure(decoded, kStageFactor);
-        blocks_done = 0;
-        l1_coo = CooMatrix(dec.n1, dec.n1);
-        u1_coo = CooMatrix(dec.n1, dec.n1);
-      }
-    }
-  }
+  Resume(checkpoints, kStageFactor, [&](const CheckpointSections& ckpt) {
+    return DecodeFactor(ckpt, dec.n1, num_blocks, &blocks_done, &l1_coo,
+                        &u1_coo);
+  });
   const std::size_t blocks_resumed = blocks_done;
   index_t block_start = 0;
   for (std::size_t b = 0; b < blocks_resumed; ++b) {
@@ -705,9 +716,15 @@ Result<HubSpokeDecomposition> BuildDecomposition(
       if (checkpoints != nullptr && blocks_done < num_blocks &&
           (cancel_now || since_factor_ckpt.Seconds() >=
                              options.checkpoint_interval_seconds)) {
-        WarnOnCheckpointFailure(
-            WriteFactorCheckpoint(checkpoints, blocks_done, l1_coo, u1_coo),
-            kStageFactor);
+        // Partial COO state round-trips through sorted CSR; the final
+        // ToCsr() sorts anyway, so the resumed run converges to the same
+        // matrices.
+        Checkpoint(checkpoints, kStageFactor, &dec,
+                   [&]() -> Result<CheckpointPayloads> {
+                     BEPI_ASSIGN_OR_RETURN(const CsrMatrix l1, l1_coo.ToCsr());
+                     BEPI_ASSIGN_OR_RETURN(const CsrMatrix u1, u1_coo.ToCsr());
+                     return EncodeFactor(blocks_done, l1, u1);
+                   });
         since_factor_ckpt.Restart();
       }
       if (cancel_now) return cancel_status("factor");
@@ -720,10 +737,9 @@ Result<HubSpokeDecomposition> BuildDecomposition(
   if (checkpoints != nullptr && blocks_resumed < num_blocks) {
     // The stage-boundary snapshot reuses the assembled CSR factors rather
     // than re-sorting the COO staging buffers a second time.
-    WarnOnCheckpointFailure(
-        WriteFactorCsrCheckpoint(checkpoints, num_blocks, dec.l1_inv,
-                                 dec.u1_inv),
-        kStageFactor);
+    Checkpoint(checkpoints, kStageFactor, &dec, [&] {
+      return EncodeFactor(num_blocks, dec.l1_inv, dec.u1_inv);
+    });
   }
   dec.factor_seconds = timer.Seconds();
   // Stage boundary: the assembled factor checkpoint is durable.
@@ -732,48 +748,18 @@ Result<HubSpokeDecomposition> BuildDecomposition(
 
   // Step 6: Schur complement S = H22 - H21 (U1^{-1} (L1^{-1} H12)).
   timer.Restart();
-  bool schur_resumed = false;
-  if (checkpoints != nullptr) {
-    Result<CheckpointSections> ckpt = checkpoints->Read(kStageSchur);
-    if (ckpt.ok()) {
-      const Status decoded = [&]() -> Status {
-        BEPI_ASSIGN_OR_RETURN(const std::string* meta,
-                              FindPayload(*ckpt, "meta"));
-        std::istringstream in(*meta);
-        if (!(in >> dec.product_nnz) || dec.product_nnz < 0) {
-          return Status::DataLoss("malformed Schur metadata");
-        }
-        BEPI_ASSIGN_OR_RETURN(const std::string* schur,
-                              FindPayload(*ckpt, "schur"));
-        BEPI_ASSIGN_OR_RETURN(dec.schur,
-                              DecodeMatrix(*schur, dec.n2, dec.n2));
-        return Status::Ok();
-      }();
-      if (decoded.ok()) {
-        schur_resumed = true;
-      } else {
-        WarnOnResumeFailure(decoded, kStageSchur);
-      }
-    }
-  }
+  const bool schur_resumed =
+      Resume(checkpoints, kStageSchur, [&](const CheckpointSections& ckpt) {
+        return DecodeSchur(ckpt, &dec);
+      });
   if (!schur_resumed) {
     BEPI_ASSIGN_OR_RETURN(CsrMatrix t1, Multiply(dec.l1_inv, dec.h12));
     BEPI_ASSIGN_OR_RETURN(CsrMatrix t2, Multiply(dec.u1_inv, t1));
     BEPI_ASSIGN_OR_RETURN(CsrMatrix t3, Multiply(dec.h21, t2));
     dec.product_nnz = t3.nnz();
     BEPI_ASSIGN_OR_RETURN(dec.schur, Subtract(dec.h22, t3));
-    if (checkpoints != nullptr) {
-      const Status written = [&]() -> Status {
-        BEPI_ASSIGN_OR_RETURN(std::string schur_text,
-                              EncodeMatrix(dec.schur));
-        std::ostringstream meta;
-        meta << dec.product_nnz << "\n";
-        return checkpoints->Write(kStageSchur,
-                                  {{"meta", meta.str()},
-                                   {"schur", std::move(schur_text)}});
-      }();
-      WarnOnCheckpointFailure(written, kStageSchur);
-    }
+    Checkpoint(checkpoints, kStageSchur, &dec,
+               [&] { return EncodeSchur(dec); });
   }
   if (budget != nullptr) {
     BEPI_RETURN_IF_ERROR(budget->Charge(dec.schur.ByteSize(),

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/cancel.hpp"
+#include "common/sections.hpp"
 #include "common/status.hpp"
 #include "core/budget.hpp"
 #include "graph/graph.hpp"
@@ -86,6 +87,9 @@ struct HubSpokeDecomposition {
   double build_seconds = 0.0;
   double factor_seconds = 0.0;
   double schur_seconds = 0.0;
+  /// Part of the stage seconds above spent writing checkpoints, payload
+  /// encoding included.
+  double checkpoint_seconds = 0.0;
 
   /// U1^{-1} (L1^{-1} v) — applies H11^{-1} to a length-n1 vector.
   Vector ApplyH11Inverse(const Vector& v) const;
@@ -104,10 +108,20 @@ struct HubSpokeDecomposition {
   std::uint64_t CommonBytes() const;
 };
 
-/// Whether the H11 block sizes `sizes` are all positive and sum to exactly
-/// `n1`, the spoke count. Checked wherever block sizes are read back (model
-/// load, reorder checkpoint).
-bool BlocksTileSpokes(const std::vector<index_t>& sizes, index_t n1);
+/// The `perm` section payload of a model and of the reorder checkpoint
+/// (DESIGN.md §9): n, n1, n2, n3, the index width, then dec.perm.
+std::string EncodePerm(const HubSpokeDecomposition& dec);
+/// Reads a `perm` payload into dec's n, n1, n2, n3 and perm. The partition
+/// sizes must add up to n (checked before the entries are read) and perm
+/// must be a permutation.
+Status DecodePerm(const Section& section, HubSpokeDecomposition* dec);
+
+/// The `blocks` section payload of a model and of the reorder checkpoint:
+/// the H11 block sizes as an index array (count, index width, entries).
+std::string EncodeBlocks(const HubSpokeDecomposition& dec);
+/// Reads a `blocks` payload into dec->block_sizes, which must be positive
+/// and tile the dec->n1 spokes exactly.
+Status DecodeBlocks(const Section& section, HubSpokeDecomposition* dec);
 
 /// Column j of `r` in original node ids (Algorithm 4, line 7); entry i of
 /// the concatenated slices lands at inverse_perm[i].

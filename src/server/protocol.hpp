@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -78,9 +79,6 @@ class JsonValue {
 /// Strict parse of exactly one JSON value spanning the whole input.
 /// `max_depth` caps object/array nesting (stack-exhaustion hardening).
 Result<JsonValue> ParseJson(const std::string& text, int max_depth = 16);
-
-/// Serializes `s` as a JSON string literal, quotes included.
-std::string JsonQuote(const std::string& s);
 
 // --- Requests ----------------------------------------------------------
 

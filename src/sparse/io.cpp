@@ -1,150 +1,47 @@
 #include "sparse/io.hpp"
 
-#include <charconv>
-#include <fstream>
-#include <sstream>
-
-#include "common/fileio.hpp"
-#include "sparse/coo.hpp"
+#include "sparse/kernel.hpp"
 
 namespace bepi {
 
-Status WriteMatrixMarket(const CsrMatrix& m, std::ostream& out) {
-  out << "%%MatrixMarket matrix coordinate real general\n";
-  out << m.rows() << " " << m.cols() << " " << m.nnz() << "\n";
-  // Entries are emitted through to_chars into a chunked buffer: the
-  // shortest representation that parses back to the exact same double,
-  // several times faster than iostream formatting. Serialization speed is
-  // what bounds checkpointing overhead during preprocessing.
-  constexpr std::size_t kFlushAt = std::size_t{1} << 16;
-  std::string buffer;
-  buffer.reserve(kFlushAt + 64);
-  char scratch[32];
-  const auto append = [&buffer, &scratch](auto value) {
-    const auto [end, ec] =
-        std::to_chars(scratch, scratch + sizeof(scratch), value);
-    buffer.append(scratch, end);
-  };
-  for (index_t r = 0; r < m.rows(); ++r) {
-    for (index_t p = m.row_ptr()[static_cast<std::size_t>(r)];
-         p < m.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
-      append(r + 1);
-      buffer += ' ';
-      append(m.col_idx()[static_cast<std::size_t>(p)] + 1);
-      buffer += ' ';
-      append(m.values()[static_cast<std::size_t>(p)]);
-      buffer += '\n';
-      if (buffer.size() >= kFlushAt) {
-        out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-        buffer.clear();
-      }
-    }
-  }
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  if (!out) return Status::IoError("failed writing MatrixMarket stream");
-  return Status::Ok();
+std::uint64_t IndexWidth(index_t rows, index_t cols, index_t nnz) {
+  return FitsCompactDims(rows, cols, nnz) ? sizeof(std::uint32_t)
+                                          : sizeof(index_t);
 }
 
-Status WriteMatrixMarketFile(const CsrMatrix& m, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  return WriteMatrixMarket(m, out);
+std::string EncodeMatrix(const CsrMatrix& m) {
+  const std::uint64_t width = IndexWidth(m.rows(), m.cols(), m.nnz());
+  PayloadWriter out;
+  out.U64(static_cast<std::uint64_t>(m.rows()));
+  out.U64(static_cast<std::uint64_t>(m.cols()));
+  out.U64(static_cast<std::uint64_t>(m.nnz()));
+  out.U64(width);
+  out.Indices(m.row_ptr(), width);
+  out.Indices(m.col_idx(), width);
+  out.Reals(m.values());
+  return std::move(out.bytes());
 }
 
-Result<CsrMatrix> ReadMatrixMarket(std::istream& in, index_t expect_rows,
-                                   index_t expect_cols) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IoError("empty MatrixMarket stream");
+Result<CsrMatrix> DecodeMatrix(const Section& section, index_t rows,
+                               index_t cols) {
+  PayloadReader in(section);
+  const std::uint64_t r = in.U64(), c = in.U64(), nnz = in.U64(),
+                      width = in.U64();
+  BEPI_RETURN_IF_ERROR(in.status());
+  if (r != static_cast<std::uint64_t>(rows) ||
+      c != static_cast<std::uint64_t>(cols)) {
+    return in.Malformed("holds a " + std::to_string(r) + "x" +
+                        std::to_string(c) + " matrix, expected " +
+                        std::to_string(rows) + "x" + std::to_string(cols));
   }
-  if (line.rfind("%%MatrixMarket", 0) != 0) {
-    return Status::IoError("missing MatrixMarket header");
-  }
-  const bool symmetric = line.find("symmetric") != std::string::npos;
-  const bool pattern = line.find("pattern") != std::string::npos;
-  if (line.find("coordinate") == std::string::npos) {
-    return Status::IoError("only coordinate format is supported");
-  }
-  // Skip comments.
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '%') break;
-  }
-  std::istringstream dims(line);
-  index_t rows = -1, cols = -1, nnz = -1;
-  dims >> rows >> cols >> nnz;
-  if (rows < 0 || cols < 0 || nnz < 0) {
-    return Status::IoError("malformed size line: " + line);
-  }
-  if ((expect_rows >= 0 && rows != expect_rows) ||
-      (expect_cols >= 0 && cols != expect_cols)) {
-    return Status::IoError(
-        "matrix dimensions " + std::to_string(rows) + "x" +
-        std::to_string(cols) + " do not match the expected " +
-        std::to_string(expect_rows) + "x" + std::to_string(expect_cols));
-  }
-  // Allocation-bomb guard: every entry line takes at least 4 bytes
-  // ("1 1\n"), so a claimed nnz beyond remaining/4 cannot be satisfied.
-  // Trailing unrelated data only makes this cap more permissive, never
-  // rejects a well-formed stream.
-  const std::int64_t remaining = StreamRemainingBytes(in);
-  if (remaining >= 0 && nnz > remaining / 3 + 1) {
-    return Status::IoError("size line claims " + std::to_string(nnz) +
-                           " entries but only " + std::to_string(remaining) +
-                           " bytes remain in the stream");
-  }
-  CooMatrix coo(rows, cols);
-  coo.Reserve(static_cast<std::size_t>(symmetric ? 2 * nnz : nnz));
-  // Fast path: from_chars over the line, no stream construction per entry.
-  // Lines it cannot handle (e.g. a '+' sign or exotic spacing) fall back
-  // to the permissive istringstream parse.
-  const auto parse_fast = [pattern](const std::string& text, index_t* r,
-                                    index_t* c, real_t* v) {
-    const char* p = text.data();
-    const char* const end = p + text.size();
-    const auto skip = [&p, end] {
-      while (p < end && (*p == ' ' || *p == '\t')) ++p;
-    };
-    skip();
-    auto rr = std::from_chars(p, end, *r);
-    if (rr.ec != std::errc()) return false;
-    p = rr.ptr;
-    skip();
-    auto rc = std::from_chars(p, end, *c);
-    if (rc.ec != std::errc()) return false;
-    p = rc.ptr;
-    if (!pattern) {
-      skip();
-      auto rv = std::from_chars(p, end, *v);
-      if (rv.ec != std::errc()) return false;
-      p = rv.ptr;
-    }
-    skip();
-    return p == end;
-  };
-  for (index_t i = 0; i < nnz; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::IoError("truncated MatrixMarket stream");
-    }
-    index_t r = 0, c = 0;
-    real_t v = 1.0;
-    if (!parse_fast(line, &r, &c, &v)) {
-      std::istringstream entry(line);
-      entry >> r >> c;
-      if (!pattern) entry >> v;
-      if (entry.fail()) {
-        return Status::IoError("malformed entry line: " + line);
-      }
-    }
-    coo.Add(r - 1, c - 1, v);
-    if (symmetric && r != c) coo.Add(c - 1, r - 1, v);
-  }
-  return coo.ToCsr();
-}
-
-Result<CsrMatrix> ReadMatrixMarketFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  return ReadMatrixMarket(in);
+  std::vector<index_t> row_ptr = in.Indices(r + 1, width);
+  std::vector<index_t> col_idx = in.Indices(nnz, width);
+  std::vector<real_t> values = in.Reals(nnz);
+  BEPI_RETURN_IF_ERROR(in.Finish());
+  Result<CsrMatrix> m = CsrMatrix::FromParts(
+      rows, cols, std::move(row_ptr), std::move(col_idx), std::move(values));
+  if (!m.ok()) return in.Malformed(m.status().message());
+  return m;
 }
 
 }  // namespace bepi

@@ -1,31 +1,29 @@
-// Matrix text IO in MatrixMarket coordinate format (1-based indices), so
-// matrices round-trip to files inspectable by standard tools.
+// The CSR payload codec: how a matrix is stored in a section of a model
+// (format v4) or a preprocessing checkpoint (common/sections.hpp frames
+// both), so the two hold the same bytes for the same matrix.
 #ifndef BEPI_SPARSE_IO_HPP_
 #define BEPI_SPARSE_IO_HPP_
 
-#include <iosfwd>
+#include <cstdint>
 #include <string>
 
+#include "common/sections.hpp"
 #include "common/status.hpp"
 #include "sparse/csr.hpp"
 
 namespace bepi {
 
-/// Writes `m` in MatrixMarket "coordinate real general" format.
-Status WriteMatrixMarket(const CsrMatrix& m, std::ostream& out);
-Status WriteMatrixMarketFile(const CsrMatrix& m, const std::string& path);
+/// Bytes per stored index: 4 when the compact kernel layout's 32-bit rule
+/// holds (sparse/kernel.hpp FitsCompactDims), 8 otherwise.
+std::uint64_t IndexWidth(index_t rows, index_t cols, index_t nnz);
 
-/// Reads a MatrixMarket coordinate file. Supports the "general" and
-/// "symmetric" qualifiers (symmetric entries are mirrored); "pattern"
-/// matrices get value 1.0 per entry. The claimed entry count is sanity-
-/// capped against the remaining stream size before anything is allocated,
-/// so a corrupted size line cannot trigger a huge allocation. When
-/// `expect_rows`/`expect_cols` are >= 0 the declared dimensions must match
-/// them exactly (callers that know the shape, e.g. the model loader, reject
-/// dimension bombs before any allocation).
-Result<CsrMatrix> ReadMatrixMarket(std::istream& in, index_t expect_rows = -1,
-                                   index_t expect_cols = -1);
-Result<CsrMatrix> ReadMatrixMarketFile(const std::string& path);
+/// rows, cols, nnz, index width, then row_ptr, col_idx and the values.
+std::string EncodeMatrix(const CsrMatrix& m);
+
+/// The matrix in `section`, which must have the shape rows x cols (known
+/// to the caller), validated by CsrMatrix::FromParts.
+Result<CsrMatrix> DecodeMatrix(const Section& section, index_t rows,
+                               index_t cols);
 
 }  // namespace bepi
 

@@ -6,15 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "common/faultinject.hpp"
+#include "common/fileio.hpp"
+#include "common/sections.hpp"
 #include "core/bepi.hpp"
 #include "core/checkpoint.hpp"
 #include "core/decomposition.hpp"
@@ -201,6 +207,279 @@ TEST_F(CheckpointTest, ResumeFromEachStagePrefixMatchesScratch) {
     auto resumed = BuildDecomposition(g, options, nullptr, &partial);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     ExpectDecompositionEq(*scratch, *resumed);
+  }
+}
+
+constexpr char kCheckpointMagic[] = "BEPI-CKPT v2";
+
+std::string CheckpointPath(const std::string& dir, const std::string& stage) {
+  return dir + "/" + stage + ".ckpt";
+}
+
+std::string ReadCheckpoint(const std::string& dir, const std::string& stage) {
+  Result<std::string> content = ReadFileToString(CheckpointPath(dir, stage));
+  EXPECT_TRUE(content.ok()) << stage << ": " << content.status().ToString();
+  return content.ok() ? *content : std::string();
+}
+
+void WriteCheckpointFile(const std::string& dir, const std::string& stage,
+                         const std::string& content) {
+  std::ofstream out(CheckpointPath(dir, stage),
+                    std::ios::binary | std::ios::trunc);
+  out << content;
+  ASSERT_TRUE(out.good()) << stage;
+}
+
+/// Overwrites the 8-byte field at byte `at` of a payload.
+void PutU64(std::string* payload, std::size_t at, std::uint64_t value) {
+  ASSERT_LE(at + sizeof(value), payload->size());
+  std::memcpy(payload->data() + at, &value, sizeof(value));
+}
+
+std::uint64_t GetU64(const std::string& payload, std::size_t at) {
+  std::uint64_t value = 0;
+  EXPECT_LE(at + sizeof(value), payload.size());
+  if (at + sizeof(value) <= payload.size()) {
+    std::memcpy(&value, payload.data() + at, sizeof(value));
+  }
+  return value;
+}
+
+/// Sets the first column index of a matrix payload (sparse/io.hpp: rows,
+/// cols, nnz, index width, row_ptr, col_idx, values) to `column`.
+void PutFirstColumn(std::string* payload, std::uint32_t column) {
+  const std::uint64_t rows = GetU64(*payload, 0), nnz = GetU64(*payload, 16);
+  ASSERT_GT(nnz, 0u);
+  ASSERT_EQ(GetU64(*payload, 24), 4u) << "small test graphs use 4-byte indices";
+  const std::size_t at = 32 + static_cast<std::size_t>(rows + 1) * 4;
+  ASSERT_LE(at + sizeof(column), payload->size());
+  std::memcpy(payload->data() + at, &column, sizeof(column));
+}
+
+/// One payload edited behind valid checksums: section `section` of
+/// `stage`'s checkpoint, re-framed so only the stage's decoder can notice.
+struct Tamper {
+  const char* what;
+  const char* stage;
+  const char* section;
+  std::function<void(std::string*)> edit;
+};
+
+/// Applies `tamper` to the checkpoints in `dir`, then checks a build over
+/// them ignores that one checkpoint: it resumes exactly `want_resumed`
+/// others, recomputes the stage and equals `scratch` bitwise.
+void ExpectTamperedStageRecomputed(const std::string& dir, const Graph& g,
+                                   const HubSpokeDecomposition& scratch,
+                                   const Tamper& tamper, int want_resumed) {
+  SCOPED_TRACE(tamper.what);
+  const std::string original = ReadCheckpoint(dir, tamper.stage);
+  WriteCheckpointFile(dir, tamper.stage,
+                      test::ReframeSection(original, kCheckpointMagic,
+                                           tamper.section, tamper.edit));
+  CheckpointManager manager(dir);
+  manager.Bind(PreprocessFingerprint(g, "tag"));
+  auto resumed =
+      BuildDecomposition(g, TestDecompositionOptions(), nullptr, &manager);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(manager.checkpoints_resumed(), want_resumed);
+  EXPECT_GT(manager.checkpoints_written(), 0);
+  ExpectDecompositionEq(scratch, *resumed);
+}
+
+TEST_F(CheckpointTest, TamperedStagePayloadsAreRecomputed) {
+  Graph g = test::SmallRmat(130, 560, 0.25, 3019);
+  auto scratch = BuildDecomposition(g, TestDecompositionOptions(), nullptr);
+  ASSERT_TRUE(scratch.ok());
+  const auto n1 = static_cast<std::uint32_t>(scratch->n1);
+  const auto n2 = static_cast<std::uint32_t>(scratch->n2);
+  const std::uint64_t num_blocks = scratch->block_sizes.size();
+  ASSERT_GT(n2, 0u);
+  ASSERT_GT(num_blocks, 0u);
+  const std::vector<Tamper> tampers = {
+      {"reorder perm that is not a permutation", "reorder", "perm",
+       [](std::string* p) {
+         // n, n1, n2, n3, index width (8 bytes each), then 4-byte entries:
+         // the second entry repeats the first.
+         ASSERT_EQ(GetU64(*p, 32), 4u);
+         ASSERT_GE(p->size(), 48u);
+         std::memcpy(p->data() + 44, p->data() + 40, 4);
+       }},
+      {"reorder block sizes that do not tile n1", "reorder", "blocks",
+       [](std::string* p) {
+         // count, index width, then the 4-byte sizes: grow the first.
+         ASSERT_EQ(GetU64(*p, 8), 4u);
+         ASSERT_GE(p->size(), 20u);
+         std::uint32_t size = 0;
+         std::memcpy(&size, p->data() + 16, sizeof(size));
+         ++size;
+         std::memcpy(p->data() + 16, &size, sizeof(size));
+       }},
+      {"factor l1_inv column out of range", "factor", "l1_inv",
+       [n1](std::string* p) { PutFirstColumn(p, n1); }},
+      {"factor progress past the block count", "factor", "progress",
+       [num_blocks](std::string* p) { PutU64(p, 0, num_blocks + 1); }},
+      {"schur column out of range", "schur", "schur",
+       [n2](std::string* p) { PutFirstColumn(p, n2); }},
+  };
+  for (const Tamper& tamper : tampers) {
+    std::filesystem::remove_all(Dir());
+    CheckpointManager full(Dir());
+    full.Bind(PreprocessFingerprint(g, "tag"));
+    ASSERT_TRUE(
+        BuildDecomposition(g, TestDecompositionOptions(), nullptr, &full)
+            .ok());
+    const std::string untampered = ReadCheckpoint(Dir(), tamper.stage);
+    // reorder, factor and schur are on disk; the two left are resumed.
+    ExpectTamperedStageRecomputed(Dir(), g, *scratch, tamper,
+                                  /*want_resumed=*/2);
+    // The recomputed stage wrote its checkpoint again, byte for byte.
+    EXPECT_EQ(ReadCheckpoint(Dir(), tamper.stage), untampered) << tamper.what;
+  }
+}
+
+TEST_F(CheckpointTest, TamperedReorderInputsAreRecomputed) {
+  Graph g = test::SmallRmat(130, 560, 0.25, 3021);
+  auto scratch = BuildDecomposition(g, TestDecompositionOptions(), nullptr);
+  ASSERT_TRUE(scratch.ok());
+  // A count of 2^40 entries would be terabytes: reaching an allocation
+  // would throw instead of returning a Status.
+  constexpr std::uint64_t kBomb = std::uint64_t{1} << 40;
+  const std::vector<Tamper> tampers = {
+      // non-deadend count, deadend count, then the permutation's count.
+      {"deadend permutation claiming 2^40 entries", "deadend", "deadend",
+       [](std::string* p) { PutU64(p, 16, kBomb); }},
+      // spokes, hubs, rounds, then the partial permutation's count.
+      {"SlashBurn round permutation claiming 2^40 entries",
+       "slashburn.round", "round",
+       [](std::string* p) { PutU64(p, 24, kBomb); }},
+  };
+  for (const Tamper& tamper : tampers) {
+    // A run cancelled before its first SlashBurn round completes commits
+    // the deadend partition and that round, and nothing later.
+    std::filesystem::remove_all(Dir());
+    CancelToken cancel;
+    cancel.Cancel();
+    DecompositionOptions cancelled = TestDecompositionOptions();
+    cancelled.cancel = &cancel;
+    CheckpointManager partial(Dir());
+    partial.Bind(PreprocessFingerprint(g, "tag"));
+    ASSERT_EQ(BuildDecomposition(g, cancelled, nullptr, &partial)
+                  .status()
+                  .code(),
+              StatusCode::kCancelled);
+    ASSERT_TRUE(std::filesystem::exists(CheckpointPath(Dir(), "deadend")));
+    ASSERT_TRUE(
+        std::filesystem::exists(CheckpointPath(Dir(), "slashburn.round")));
+    // The other of the two is resumed.
+    ExpectTamperedStageRecomputed(Dir(), g, *scratch, tamper,
+                                  /*want_resumed=*/1);
+  }
+}
+
+TEST_F(CheckpointTest, TextCheckpointsFromV1AreIgnoredWithAWarning) {
+  Graph g = test::SmallRmat(110, 470, 0.2, 3027);
+  auto scratch = BuildDecomposition(g, TestDecompositionOptions(), nullptr);
+  ASSERT_TRUE(scratch.ok());
+  const HubSpokeDecomposition& dec = *scratch;
+  const std::uint64_t fingerprint = PreprocessFingerprint(g, "tag");
+
+  // The v1 layout: text fields and MatrixMarket matrices behind a text
+  // `meta` section, for every stage a finished run leaves on disk.
+  auto index_text = [](const std::vector<index_t>& v) {
+    std::ostringstream out;
+    out << v.size() << "\n";
+    for (index_t x : v) out << x << "\n";
+    return out.str();
+  };
+  auto write_v1 = [&](const std::string& stage,
+                      const std::vector<std::pair<std::string, std::string>>&
+                          sections) {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(fingerprint));
+    std::ostringstream file;
+    SectionWriter writer(file, "BEPI-CKPT v1");
+    std::string meta = "fingerprint ";
+    meta += hex;
+    meta += "\nstage " + stage + "\n";
+    ASSERT_TRUE(writer.Add("meta", meta).ok());
+    for (const auto& [name, payload] : sections) {
+      ASSERT_TRUE(writer.Add(name, payload).ok());
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    WriteCheckpointFile(Dir(), stage, file.str());
+  };
+  std::filesystem::create_directories(Dir());
+  std::ostringstream sizes;
+  sizes << dec.n << " " << dec.n1 << " " << dec.n2 << " " << dec.n3 << " "
+        << dec.slashburn_iterations << "\n";
+  write_v1("reorder", {{"sizes", sizes.str()},
+                       {"perm", index_text(dec.perm)},
+                       {"blocks", index_text(dec.block_sizes)}});
+  write_v1("factor",
+           {{"progress", std::to_string(dec.block_sizes.size()) + "\n"},
+            {"l1", test::MatrixMarketText(dec.l1_inv)},
+            {"u1", test::MatrixMarketText(dec.u1_inv)}});
+  write_v1("schur", {{"meta", std::to_string(dec.product_nnz) + "\n"},
+                     {"schur", test::MatrixMarketText(dec.schur)}});
+
+  CheckpointManager manager(Dir());
+  manager.Bind(fingerprint);
+  testing::internal::CaptureStderr();
+  auto resumed =
+      BuildDecomposition(g, TestDecompositionOptions(), nullptr, &manager);
+  const std::string warnings = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(manager.checkpoints_resumed(), 0);
+  for (const char* stage : {"reorder", "factor", "schur"}) {
+    EXPECT_NE(warnings.find(CheckpointPath(Dir(), stage)), std::string::npos)
+        << "no warning for the v1 " << stage << " checkpoint:\n"
+        << warnings;
+  }
+  EXPECT_NE(warnings.find("BEPI-CKPT v1"), std::string::npos) << warnings;
+  ExpectDecompositionEq(dec, *resumed);
+  // Each stage now holds a current-format checkpoint.
+  for (const char* stage : {"reorder", "factor", "schur"}) {
+    EXPECT_EQ(ReadCheckpoint(Dir(), stage).rfind(kCheckpointMagic, 0), 0u)
+        << stage;
+  }
+}
+
+TEST_F(CheckpointTest, CheckpointedArtifactsMatchModelSectionsBytewise) {
+  Graph g = test::SmallRmat(120, 500, 0.25, 3029);
+  BepiSolver solver{BepiOptions()};
+  CheckpointManager checkpoints(Dir());
+  ASSERT_TRUE(solver.Preprocess(g, &checkpoints).ok());
+  std::ostringstream model;
+  ASSERT_TRUE(solver.Save(model).ok());
+  auto payload = [](const std::string& framed, std::string_view magic,
+                    std::string_view name) {
+    auto reader = SectionReader::Open(framed, magic);
+    EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+    if (!reader.ok()) return std::string();
+    for (;;) {
+      auto next = reader->Next();
+      EXPECT_TRUE(next.ok());
+      if (!next.ok() || !next->has_value()) return std::string();
+      if ((*next)->name == name) return std::string((*next)->payload);
+    }
+  };
+  const std::string schur =
+      payload(model.str(), BepiSolver::kModelMagic, "schur");
+  ASSERT_FALSE(schur.empty());
+  EXPECT_EQ(payload(ReadCheckpoint(Dir(), "schur"), kCheckpointMagic, "schur"),
+            schur);
+  for (const char* section : {"perm", "blocks"}) {
+    EXPECT_EQ(
+        payload(ReadCheckpoint(Dir(), "reorder"), kCheckpointMagic, section),
+        payload(model.str(), BepiSolver::kModelMagic, section))
+        << section;
+  }
+  for (const char* section : {"l1_inv", "u1_inv"}) {
+    EXPECT_EQ(
+        payload(ReadCheckpoint(Dir(), "factor"), kCheckpointMagic, section),
+        payload(model.str(), BepiSolver::kModelMagic, section))
+        << section;
   }
 }
 

@@ -4,97 +4,10 @@
 
 #include "common/faultinject.hpp"
 #include "graph/io.hpp"
-#include "sparse/io.hpp"
 #include "test_util.hpp"
 
 namespace bepi {
 namespace {
-
-TEST(MatrixMarket, RoundTrip) {
-  Rng rng(151);
-  CsrMatrix a = test::RandomSparse(6, 9, 0.3, &rng);
-  std::stringstream ss;
-  ASSERT_TRUE(WriteMatrixMarket(a, ss).ok());
-  auto back = ReadMatrixMarket(ss);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->rows(), 6);
-  EXPECT_EQ(back->cols(), 9);
-  EXPECT_LT(CsrMatrix::MaxAbsDiff(a, *back), 1e-15);
-}
-
-TEST(MatrixMarket, SymmetricMirrored) {
-  std::stringstream ss;
-  ss << "%%MatrixMarket matrix coordinate real symmetric\n"
-     << "3 3 2\n"
-     << "2 1 5.0\n"
-     << "3 3 1.0\n";
-  auto m = ReadMatrixMarket(ss);
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->At(1, 0), 5.0);
-  EXPECT_DOUBLE_EQ(m->At(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(m->At(2, 2), 1.0);
-  EXPECT_EQ(m->nnz(), 3);  // diagonal not duplicated
-}
-
-TEST(MatrixMarket, PatternGetsUnitValues) {
-  std::stringstream ss;
-  ss << "%%MatrixMarket matrix coordinate pattern general\n"
-     << "2 2 1\n"
-     << "1 2\n";
-  auto m = ReadMatrixMarket(ss);
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->At(0, 1), 1.0);
-}
-
-TEST(MatrixMarket, CommentsSkipped) {
-  std::stringstream ss;
-  ss << "%%MatrixMarket matrix coordinate real general\n"
-     << "% a comment\n"
-     << "% another\n"
-     << "1 1 1\n"
-     << "1 1 2.5\n";
-  auto m = ReadMatrixMarket(ss);
-  ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->At(0, 0), 2.5);
-}
-
-TEST(MatrixMarket, Malformed) {
-  {
-    std::stringstream ss;
-    EXPECT_EQ(ReadMatrixMarket(ss).status().code(), StatusCode::kIoError);
-  }
-  {
-    std::stringstream ss("not a header\n1 1 0\n");
-    EXPECT_EQ(ReadMatrixMarket(ss).status().code(), StatusCode::kIoError);
-  }
-  {
-    std::stringstream ss("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n");
-    EXPECT_EQ(ReadMatrixMarket(ss).status().code(), StatusCode::kIoError);
-  }
-  {
-    std::stringstream ss("%%MatrixMarket matrix array real general\n2 2\n");
-    EXPECT_FALSE(ReadMatrixMarket(ss).ok());
-  }
-  {
-    // Entry outside the declared shape.
-    std::stringstream ss("%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1.0\n");
-    EXPECT_FALSE(ReadMatrixMarket(ss).ok());
-  }
-}
-
-TEST(MatrixMarketFile, FileRoundTripAndMissingFile) {
-  Rng rng(157);
-  CsrMatrix a = test::RandomSparse(4, 4, 0.5, &rng);
-  const std::string path = testing::TempDir() + "/bepi_mm_test.mtx";
-  ASSERT_TRUE(WriteMatrixMarketFile(a, path).ok());
-  auto back = ReadMatrixMarketFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_LT(CsrMatrix::MaxAbsDiff(a, *back), 1e-15);
-  EXPECT_EQ(ReadMatrixMarketFile("/nonexistent/x.mtx").status().code(),
-            StatusCode::kIoError);
-  EXPECT_EQ(WriteMatrixMarketFile(a, "/nonexistent/dir/x.mtx").code(),
-            StatusCode::kIoError);
-}
 
 TEST(EdgeList, RoundTrip) {
   Graph g = test::SmallRmat(50, 200, 0.1, 163);

@@ -45,6 +45,23 @@ inline std::string ReframeSection(
   return out.str();
 }
 
+/// `m` as MatrixMarket coordinate text (1-based, doubles at precision 17):
+/// how the retired text models and v1 checkpoints stored a matrix.
+inline std::string MatrixMarketText(const CsrMatrix& m) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "%%MatrixMarket matrix coordinate real general\n"
+      << m.rows() << " " << m.cols() << " " << m.nnz() << "\n";
+  for (index_t r = 0; r < m.rows(); ++r) {
+    for (index_t p = m.row_ptr()[static_cast<std::size_t>(r)];
+         p < m.row_ptr()[static_cast<std::size_t>(r) + 1]; ++p) {
+      out << r + 1 << " " << m.col_idx()[static_cast<std::size_t>(p)] + 1
+          << " " << m.values()[static_cast<std::size_t>(p)] << "\n";
+    }
+  }
+  return out.str();
+}
+
 /// Random sparse matrix with the given density; values uniform in [-1, 1).
 inline CsrMatrix RandomSparse(index_t rows, index_t cols, real_t density,
                               Rng* rng) {

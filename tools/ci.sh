@@ -13,7 +13,8 @@
 #   * kill-and-resume: preprocessing is SIGKILLed at every checkpoint
 #     commit in turn (checkpoint.crash fault site), resumed until it
 #     completes, and the resumed model must be byte-identical to a
-#     from-scratch run;
+#     from-scratch run; full checkpointed runs at --threads=1 and 4 must
+#     write byte-identical checkpoint files;
 #   * telemetry: preprocess + query with --metrics-out/--trace-out, then
 #     the emitted JSON is parsed and probed for the expected solver
 #     counters, latency histogram and trace spans;
@@ -188,6 +189,22 @@ smoke_kill_resume() {
   echo "    survived $attempts SIGKILLs; comparing resumed model to scratch"
   cmp "$work/scratch.txt" "$work/resumed.txt"
   "$cli" verify-model --model="$work/resumed.txt" >/dev/null
+
+  # The checkpoint stream does not depend on the thread count: a full
+  # checkpointed run at --threads=1 and one at --threads=4 leave the same
+  # files with the same bytes.
+  local threads ckpt
+  for threads in 1 4; do
+    "$cli" preprocess --graph="$work/graph.txt" \
+      --model="$work/threads$threads.txt" \
+      --checkpoint-dir="$work/ckpt_threads$threads" --threads="$threads" \
+      >/dev/null
+  done
+  diff <(ls "$work/ckpt_threads1") <(ls "$work/ckpt_threads4")
+  for ckpt in "$work"/ckpt_threads1/*.ckpt; do
+    cmp "$ckpt" "$work/ckpt_threads4/$(basename "$ckpt")"
+  done
+  echo "    checkpoints byte-identical at --threads=1 and --threads=4"
 
   # And the fsck must catch a corrupted model. Flip one bit of byte 200
   # rather than writing a fixed value: in a binary model that value may
