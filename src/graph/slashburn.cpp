@@ -44,13 +44,22 @@ Result<SlashBurnResult> SlashBurn(const CsrMatrix& adjacency,
     if (static_cast<index_t>(from.perm.size()) != n) {
       return Status::InvalidArgument("SlashBurn resume state size mismatch");
     }
+    if (from.num_spokes < 0 || from.num_hubs < 0 ||
+        from.num_spokes > n - from.num_hubs) {
+      return Status::InvalidArgument("SlashBurn resume state inconsistent");
+    }
+    // Assigned ids are distinct and fill the spoke ids from the low end
+    // and the hub ids from the high end, nothing in between.
+    std::vector<bool> taken(static_cast<std::size_t>(n), false);
     index_t assigned = 0;
     for (index_t u = 0; u < n; ++u) {
       const index_t pos = from.perm[static_cast<std::size_t>(u)];
       if (pos < 0) continue;
-      if (pos >= n) {
+      if (pos >= n || taken[static_cast<std::size_t>(pos)] ||
+          (pos >= from.num_spokes && pos < n - from.num_hubs)) {
         return Status::InvalidArgument("SlashBurn resume state id out of range");
       }
+      taken[static_cast<std::size_t>(pos)] = true;
       active[static_cast<std::size_t>(u)] = false;
       ++assigned;
     }
