@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     options.hub_ratio = spec->hub_ratio;
     BepiSolver solver(options);
     BEPI_CHECK_MSG(solver.Preprocess(g).ok(), "preprocess failed");
-    const CsrMatrix& schur = solver.decomposition().schur;
+    const CsrMatrix schur = solver.kernels()->schur.ToCsr();
 
     std::printf("%s (n2=%lld, |S|=%lld)\n", name.c_str(),
                 static_cast<long long>(schur.rows()),

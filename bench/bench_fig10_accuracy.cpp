@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   BepiSolver bepi_solver(bepi_options);
   BEPI_CHECK(bepi_solver.Preprocess(g).ok());
   const HubSpokeDecomposition& dec = bepi_solver.decomposition();
+  const DecompositionKernels& kern = *bepi_solver.kernels();
   const Permutation inverse_perm = InversePermutation(dec.perm);
 
   // Pre-permuted pieces reused by every truncated BePI run.
@@ -57,11 +58,11 @@ int main(int argc, char** argv) {
   }
   Vector q2_tilde = cq2;
   if (dec.n1 > 0) {
-    dec.h21.MultiplyAdd(-1.0, dec.ApplyH11Inverse(cq1), &q2_tilde);
+    kern.h21.MultiplyAdd(-1.0, kern.ApplyH11Inverse(cq1), &q2_tilde);
   }
 
   auto bepi_error_at = [&](index_t iters) {
-    CsrOperator op(dec.schur);
+    KernelCsrOperator op(kern.schur);
     GmresOptions gm;
     gm.tol = 1e-16;
     gm.max_iters = iters;
@@ -72,13 +73,13 @@ int main(int argc, char** argv) {
     Vector r1;
     if (dec.n1 > 0) {
       Vector rhs1 = cq1;
-      dec.h12.MultiplyAdd(-1.0, *r2, &rhs1);
-      r1 = dec.ApplyH11Inverse(rhs1);
+      kern.h12.MultiplyAdd(-1.0, *r2, &rhs1);
+      r1 = kern.ApplyH11Inverse(rhs1);
     }
     Vector r3 = cq3;
     if (dec.n3 > 0) {
-      if (dec.n1 > 0) dec.h31.MultiplyAdd(-1.0, r1, &r3);
-      dec.h32.MultiplyAdd(-1.0, *r2, &r3);
+      if (dec.n1 > 0) kern.h31.MultiplyAdd(-1.0, r1, &r3);
+      kern.h32.MultiplyAdd(-1.0, *r2, &r3);
     }
     Vector r(static_cast<std::size_t>(dec.n));
     for (index_t i = 0; i < dec.n1; ++i) {

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                    status.ToString().c_str());
       continue;
     }
-    const CsrMatrix& schur = solver.decomposition().schur;
+    const CsrMatrix schur = solver.kernels()->schur.ToCsr();
     const Ilu0* ilu = solver.preconditioner();
     BEPI_CHECK(ilu != nullptr);
 

@@ -265,7 +265,7 @@ void RunIlu0Apply(benchmark::State& state, bool kernels) {
     ilu->Apply(r, &z);
     benchmark::DoNotOptimize(z.data());
   }
-  const CsrMatrix& f = ilu->factors();
+  const KernelCsr& f = ilu->factors();
   state.SetItemsProcessed(state.iterations() * f.nnz());
   SetKernelRates(state, 2.0 * static_cast<double>(f.nnz()),
                  static_cast<double>(f.nnz()) *

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
         solver.kernels() != nullptr &&
         solver.kernels()->path == KernelPath::kCompact;
     const std::uint64_t dense_bytes =
-        DenseBackSubstitutionBytes(solver.decomposition(), compact);
+        DenseBackSubstitutionBytes(*solver.kernels(), compact);
 
     for (const index_t k_raw : {index_t{1}, index_t{10}, index_t{100}}) {
       const index_t k = std::min<index_t>(k_raw, g.num_nodes());

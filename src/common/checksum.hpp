@@ -1,8 +1,12 @@
-// Streaming CRC32C (Castagnoli polynomial, reflected 0x82F63B78) computed
-// with the slice-by-8 table method — no hardware intrinsics or external
-// dependencies. Used to checksum model-file sections and preprocessing
-// checkpoints so corruption is detected at load instead of parsed as
-// garbage.
+// Streaming CRC32C (Castagnoli polynomial, reflected 0x82F63B78). Used to
+// checksum model-file sections and preprocessing checkpoints so corruption
+// is detected at load instead of parsed as garbage.
+//
+// Two implementations compute the same function. On x86-64 CPUs with
+// SSE4.2 (detected at run time, no build flag needed) the `crc32`
+// instruction runs over three interleaved streams whose CRCs are combined
+// with precomputed GF(2) shift tables — zlib's crc32_combine method, as in
+// Mark Adler's crc32c.c. Elsewhere the portable slice-by-8 table code runs.
 #ifndef BEPI_COMMON_CHECKSUM_HPP_
 #define BEPI_COMMON_CHECKSUM_HPP_
 
@@ -30,6 +34,16 @@ class Crc32c {
   static std::uint32_t Compute(std::string_view bytes) {
     return Compute(bytes.data(), bytes.size());
   }
+
+  /// Whether Update runs the SSE4.2 instruction path on this CPU.
+  static bool HardwareAvailable();
+  /// The two implementations of one Update step over the raw CRC
+  /// register (initial 0xFFFFFFFF, no final XOR), exposed so tests can
+  /// check they agree. UpdateHardware requires HardwareAvailable().
+  static std::uint32_t UpdateTable(std::uint32_t state, const void* data,
+                                   std::size_t length);
+  static std::uint32_t UpdateHardware(std::uint32_t state, const void* data,
+                                      std::size_t length);
 
  private:
   std::uint32_t state_ = 0xFFFFFFFFu;

@@ -14,7 +14,7 @@
 namespace bepi {
 namespace {
 
-constexpr char kCheckpointMagic[] = "BEPI-CKPT v2";
+constexpr char kCheckpointMagic[] = "BEPI-CKPT v3";
 
 /// Stage names become file names; anything outside [A-Za-z0-9_.-] is
 /// mapped to '_' (stages like "factor" and "slashburn.round" pass through).

@@ -9,13 +9,15 @@
 // from-scratch run would produce.
 //
 // Each checkpoint file is a section-framed stream (common/sections.hpp)
-// with magic "BEPI-CKPT v2" whose first section, `meta`, binds it to a
+// with magic "BEPI-CKPT v3" whose first section, `meta`, binds it to a
 // fingerprint of the (graph, options) pair and to its stage. Payloads are
-// binary, in the encoding of model format v4 (PayloadWriter, and the CSR
-// codec of sparse/io.hpp): a checkpointed S is the model's `schur` section
-// byte for byte. Stale or corrupt checkpoints, and those of an older format
-// (the v1 text checkpoints), are ignored with a warning and their stage is
-// recomputed — resume never trades correctness for speed.
+// binary, in the encoding of model format v5 (PayloadWriter, and the CSR
+// codec of sparse/io.hpp, arrays on 64-byte boundaries): a checkpointed S
+// is the model's `schur` section byte for byte. Stale or corrupt
+// checkpoints, and those of an older format (the v1 text and v2 binary
+// checkpoints), are ignored with a warning and their stage is recomputed —
+// resume never trades correctness for speed. tests/test_decoder_fuzz.cpp
+// fuzzes every stage decoder behind valid checksums.
 #ifndef BEPI_CORE_CHECKPOINT_HPP_
 #define BEPI_CORE_CHECKPOINT_HPP_
 

@@ -128,10 +128,11 @@ Status DecodeBlocks(const Section& section, HubSpokeDecomposition* dec);
 Vector Unslice(const SlicedVector& r, index_t j,
                const Permutation& inverse_perm);
 
-/// Kernel-ready views over the query-phase matrices of a decomposition
-/// (sparse/kernel.hpp): one Bind decision covers all of them, so a query
-/// never mixes compact and wide kernels. Non-owning — the decomposition
-/// must outlive this object and not be structurally modified.
+/// The query phase's matrices as read-only views (sparse/kernel.hpp), all
+/// on one kernel path so a query never mixes compact and wide kernels. A
+/// preprocessed solver's views own their arrays (TakeDecompositionKernels
+/// converts the builder's matrices once); a loaded solver's borrow them
+/// from the mapped model file.
 struct DecompositionKernels {
   /// The resolved path (kWide or kCompact, never kAuto) and a short
   /// human-readable reason, surfaced in the preprocessing log line and the
@@ -140,6 +141,8 @@ struct DecompositionKernels {
   std::string reason;
 
   KernelCsr l1_inv, u1_inv, h12, h21, h31, h32, schur;
+  /// H11 and H22, read only by the global power fallback.
+  KernelCsr h11, h22;
 
   /// U1^{-1} (L1^{-1} v) through the bound kernels.
   Vector ApplyH11Inverse(const Vector& v) const;
@@ -151,14 +154,21 @@ struct DecompositionKernels {
   void ApplyH11InverseMulti(const real_t* v, index_t k, real_t* out,
                             std::vector<real_t>* tmp) const;
 
-  /// Bytes owned on top of the decomposition (the compact index sidecars).
-  std::uint64_t OwnedBytes() const;
+  /// Bytes of every view's arrays.
+  std::uint64_t ByteSize() const;
 };
 
-/// Binds kernels for the query path: compact when `requested` is kCompact
-/// or kAuto and *every* bound matrix fits the 32-bit limits, wide
-/// otherwise (a kCompact request that does not fit falls back to wide).
-DecompositionKernels BindDecompositionKernels(const HubSpokeDecomposition& dec,
+/// Binds `views` (at their stored index widths) for the query path:
+/// compact when `requested` is kCompact or kAuto and *every* query matrix
+/// fits the 32-bit limits, wide otherwise (a kCompact request that does
+/// not fit falls back to wide). A view whose width already matches is kept
+/// as it is; only a forced path converts (owned copies).
+DecompositionKernels BindDecompositionKernels(DecompositionKernels views,
+                                              KernelPath requested);
+
+/// Moves the builder's matrices of `dec` into owning views on `requested`'s
+/// path and releases them (dec keeps its sizes, permutation and blocks).
+DecompositionKernels TakeDecompositionKernels(HubSpokeDecomposition* dec,
                                               KernelPath requested);
 
 class CheckpointManager;

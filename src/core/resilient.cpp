@@ -153,13 +153,11 @@ Result<Vector> McStage(const TerminalStages& terminal, SchurColumn* column) {
 
 }  // namespace
 
-ResilientSchurSolver::ResilientSchurSolver(const CsrMatrix& schur,
+ResilientSchurSolver::ResilientSchurSolver(const KernelCsr& schur,
                                            const Ilu0* ilu,
                                            ResilientSolveOptions options,
-                                           const LinearOperator* op,
                                            const TerminalStages* terminal)
-    : schur_(schur), ilu_(ilu), options_(options), op_(op),
-      terminal_(terminal) {}
+    : schur_(schur), ilu_(ilu), options_(options), terminal_(terminal) {}
 
 Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
                                    GmresWorkspace* workspace) const {
@@ -172,8 +170,7 @@ Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
         "every stage of the Schur degradation chain failed");
     pending.push_back(&c);
   }
-  CsrOperator fallback_op(schur_);
-  const LinearOperator& op = op_ != nullptr ? *op_ : fallback_op;
+  const KernelCsrOperator op(schur_);
   for (const Stage stage : Chain(ilu_ != nullptr, options_)) {
     if (pending.empty()) break;
     std::vector<SchurColumn*> unanswered;
@@ -256,13 +253,14 @@ Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
       // column's restart; a column without one skips them.
       for (SchurColumn* c : pending) {
         if (terminal_ == nullptr || c->cq == nullptr ||
+            (stage == Stage::kPower && terminal_->kern == nullptr) ||
             (stage == Stage::kMc && terminal_->mc == nullptr)) {
           unanswered.push_back(c);
           continue;
         }
         Result<Vector> r =
             stage == Stage::kPower
-                ? GlobalPowerFallback(*terminal_->dec,
+                ? GlobalPowerFallback(*terminal_->kern,
                                       Concat(*c->cq, c->cq_column), options_,
                                       c)
                 : McStage(*terminal_, c);
@@ -283,9 +281,14 @@ Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
   return Status::Ok();
 }
 
-bool SupportsGlobalPowerFallback(const HubSpokeDecomposition& dec) {
-  return dec.h11.rows() == dec.n1 && dec.h11.cols() == dec.n1 &&
-         dec.h22.rows() == dec.n2 && dec.h22.cols() == dec.n2;
+bool SupportsGlobalPowerFallback(const DecompositionKernels& kern) {
+  const index_t n1 = kern.l1_inv.rows(), n2 = kern.schur.rows();
+  return kern.h11.rows() == n1 && kern.h11.cols() == n1 &&
+         kern.h22.rows() == n2 && kern.h22.cols() == n2 &&
+         kern.h12.rows() == n1 && kern.h12.cols() == n2 &&
+         kern.h21.rows() == n2 && kern.h21.cols() == n1 &&
+         kern.h31.cols() == n1 && kern.h32.rows() == kern.h31.rows() &&
+         kern.h32.cols() == n2;
 }
 
 namespace {
@@ -295,15 +298,17 @@ namespace {
 /// rows of I - H are exactly -[H31 H32 0]).
 class BlockComplementOperator final : public LinearOperator {
  public:
-  explicit BlockComplementOperator(const HubSpokeDecomposition& dec)
-      : dec_(dec) {}
+  explicit BlockComplementOperator(const DecompositionKernels& kern)
+      : kern_(kern) {}
 
-  index_t size() const override { return dec_.n; }
+  index_t size() const override {
+    return kern_.l1_inv.rows() + kern_.schur.rows() + kern_.h31.rows();
+  }
 
   void Apply(const Vector& x, Vector* y) const override {
-    const std::size_t n1 = static_cast<std::size_t>(dec_.n1);
-    const std::size_t n2 = static_cast<std::size_t>(dec_.n2);
-    const std::size_t n3 = static_cast<std::size_t>(dec_.n3);
+    const std::size_t n1 = static_cast<std::size_t>(kern_.l1_inv.rows());
+    const std::size_t n2 = static_cast<std::size_t>(kern_.schur.rows());
+    const std::size_t n3 = static_cast<std::size_t>(kern_.h31.rows());
     const Vector x1(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n1));
     const Vector x2(x.begin() + static_cast<std::ptrdiff_t>(n1),
                     x.begin() + static_cast<std::ptrdiff_t>(n1 + n2));
@@ -311,48 +316,48 @@ class BlockComplementOperator final : public LinearOperator {
     // y1 = x1 - H11 x1 - H12 x2
     if (n1 > 0) {
       Vector y1 = x1;
-      dec_.h11.MultiplyAdd(-1.0, x1, &y1);
-      if (n2 > 0) dec_.h12.MultiplyAdd(-1.0, x2, &y1);
+      kern_.h11.MultiplyAdd(-1.0, x1, &y1);
+      if (n2 > 0) kern_.h12.MultiplyAdd(-1.0, x2, &y1);
       std::copy(y1.begin(), y1.end(), y->begin());
     }
     // y2 = x2 - H21 x1 - H22 x2
     if (n2 > 0) {
       Vector y2 = x2;
-      if (n1 > 0) dec_.h21.MultiplyAdd(-1.0, x1, &y2);
-      dec_.h22.MultiplyAdd(-1.0, x2, &y2);
+      if (n1 > 0) kern_.h21.MultiplyAdd(-1.0, x1, &y2);
+      kern_.h22.MultiplyAdd(-1.0, x2, &y2);
       std::copy(y2.begin(), y2.end(),
                 y->begin() + static_cast<std::ptrdiff_t>(n1));
     }
     // y3 = -(H31 x1 + H32 x2)
     if (n3 > 0) {
       Vector y3(n3, 0.0);
-      if (n1 > 0) dec_.h31.MultiplyAdd(-1.0, x1, &y3);
-      if (n2 > 0) dec_.h32.MultiplyAdd(-1.0, x2, &y3);
+      if (n1 > 0) kern_.h31.MultiplyAdd(-1.0, x1, &y3);
+      if (n2 > 0) kern_.h32.MultiplyAdd(-1.0, x2, &y3);
       std::copy(y3.begin(), y3.end(),
                 y->begin() + static_cast<std::ptrdiff_t>(n1 + n2));
     }
   }
 
  private:
-  const HubSpokeDecomposition& dec_;
+  const DecompositionKernels& kern_;
 };
 
 }  // namespace
 
-Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
+Result<Vector> GlobalPowerFallback(const DecompositionKernels& kern,
                                    const Vector& cq,
                                    const ResilientSolveOptions& options,
                                    SchurColumn* column) {
-  if (static_cast<index_t>(cq.size()) != dec.n) {
+  const BlockComplementOperator g_op(kern);
+  if (static_cast<index_t>(cq.size()) != g_op.size()) {
     return Status::InvalidArgument("power fallback rhs size mismatch");
   }
-  if (!SupportsGlobalPowerFallback(dec)) {
+  if (!SupportsGlobalPowerFallback(kern)) {
     return Status::FailedPrecondition(
         "decomposition lacks H11/H22; global power fallback unavailable");
   }
   TraceSpan fallback_span("query.power_fallback");
   Timer hop_timer;
-  BlockComplementOperator g_op(dec);
   FixedPointOptions fp;
   fp.tol = column->tol;
   fp.max_iters = options.max_iters;
@@ -373,12 +378,12 @@ Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
   return r;
 }
 
-real_t PowerScoreBound(const HubSpokeDecomposition& dec,
+real_t PowerScoreBound(const DecompositionKernels& kern,
                        const SlicedVector& cq, index_t j, const Vector& r,
                        real_t restart_prob) {
   // rho = c q - H r = c q - r + (I - H) r, through the stage's own operator.
   Vector y;
-  BlockComplementOperator(dec).Apply(r, &y);
+  BlockComplementOperator(kern).Apply(r, &y);
   const Vector c_q = Concat(cq, j);
   real_t norm1 = 0.0;
   for (std::size_t i = 0; i < r.size(); ++i) {

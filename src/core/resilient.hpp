@@ -116,11 +116,11 @@ struct SchurColumn {
   QueryReport report;
 };
 
-/// The terminal stages' inputs. `dec` feeds the power stage (skipped when
-/// it lacks H11/H22); `mc` (may be null: no walk stage) walks the raw
+/// The terminal stages' inputs. `kern` feeds the power stage (skipped
+/// when it lacks H11/H22); `mc` (may be null: no walk stage) walks the raw
 /// graph, reached through `inverse_perm` and `restart_prob`. Not owned.
 struct TerminalStages {
-  const HubSpokeDecomposition* dec = nullptr;
+  const DecompositionKernels* kern = nullptr;
   const Permutation* inverse_perm = nullptr;
   real_t restart_prob = 0.05;
   const McWalkEngine* mc = nullptr;
@@ -133,15 +133,11 @@ struct TerminalStages {
 class ResilientSchurSolver {
  public:
   /// `ilu` may be null (BePI-B/S modes, or after an ILU(0) breakdown at
-  /// preprocessing time); the chain then starts at the Jacobi stage. `op`,
-  /// when non-null, is the operator the Krylov stages apply instead of a
-  /// plain CsrOperator over `schur` — BepiSolver passes the bound
-  /// KernelCsrOperator so they run the compact/fused kernels. It must
-  /// represent exactly S (the Jacobi stage still reads `schur` directly).
-  /// Without `terminal` the chain ends after its Krylov stages.
-  ResilientSchurSolver(const CsrMatrix& schur, const Ilu0* ilu,
+  /// preprocessing time); the chain then starts at the Jacobi stage. The
+  /// Krylov stages run the view's compact/fused kernels. Without
+  /// `terminal` the chain ends after its Krylov stages.
+  ResilientSchurSolver(const KernelCsr& schur, const Ilu0* ilu,
                        ResilientSolveOptions options,
-                       const LinearOperator* op = nullptr,
                        const TerminalStages* terminal = nullptr);
 
   /// Runs every column through the stages in order. Each GMRES stage is one
@@ -158,25 +154,25 @@ class ResilientSchurSolver {
                GmresWorkspace* workspace = nullptr) const;
 
  private:
-  const CsrMatrix& schur_;
+  KernelCsr schur_;
   const Ilu0* ilu_;
   ResilientSolveOptions options_;
-  const LinearOperator* op_;
   const TerminalStages* terminal_;
 };
 
-/// Whether `dec` retains the blocks needed by GlobalPowerFallback (H11 and
-/// H22; preprocessing and every model load provide them, a decomposition
-/// assembled by hand may not).
-bool SupportsGlobalPowerFallback(const HubSpokeDecomposition& dec);
+/// Whether `kern` holds the blocks needed by GlobalPowerFallback (H11 and
+/// H22 shaped by the partition; preprocessing and every model load provide
+/// them, views assembled by hand may not).
+bool SupportsGlobalPowerFallback(const DecompositionKernels& kern);
 
 /// The power stage: power iteration r <- (I - H) r + cq on the full
-/// reordered system, assembled blockwise from the decomposition. `cq` is
-/// the scaled start vector c*q in reordered ids (length dec.n); the result
-/// is the full reordered RWR vector. Reads the tolerance, cancel token and
+/// reordered system, assembled blockwise from the views (partition sizes
+/// n1 = L1^{-1} rows, n2 = S rows, n3 = H31 rows). `cq` is the scaled
+/// start vector c*q in reordered ids (length n1 + n2 + n3); the result is
+/// the full reordered RWR vector. Reads the tolerance, cancel token and
 /// request id of `column` and appends its SolveAttempt to column->report.
 /// Fails only on budget exhaustion (kNotConverged).
-Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
+Result<Vector> GlobalPowerFallback(const DecompositionKernels& kern,
                                    const Vector& cq,
                                    const ResilientSolveOptions& options,
                                    SchurColumn* column);
@@ -185,7 +181,7 @@ Result<Vector> GlobalPowerFallback(const HubSpokeDecomposition& dec,
 /// for column j of the restart panel `cq`: the true full-system residual
 /// rho = c q - H r through FullSystemScoreBound (core/topk.hpp). The
 /// stage's own scalar residual is not a per-score bound.
-real_t PowerScoreBound(const HubSpokeDecomposition& dec,
+real_t PowerScoreBound(const DecompositionKernels& kern,
                        const SlicedVector& cq, index_t j, const Vector& r,
                        real_t restart_prob);
 

@@ -101,7 +101,9 @@ struct TopKBoundTables {
   real_t R1RowBound(index_t row, real_t r2_max) const;
 };
 
-TopKBoundTables BuildTopKBoundTables(const HubSpokeDecomposition& dec);
+/// The tables of the views in `kern`, with dec's spoke block layout.
+TopKBoundTables BuildTopKBoundTables(const HubSpokeDecomposition& dec,
+                                     const DecompositionKernels& kern);
 
 /// Sup-norm bound on the full score vector's error given the 1-norm of the
 /// true Schur residual rho = q2~ - S r2: ||S^{-1}||_1 <= 1/c for RWR
@@ -120,23 +122,25 @@ real_t ScoreErrorBound(const TopKBoundTables& tables, real_t residual_norm1,
 real_t FullSystemScoreBound(real_t residual_norm1, real_t restart_prob);
 
 /// Pruned back-substitution over a converged (or eps-truncated) Schur
-/// iterate `r2`. `cq1`/`cq3` are the scaled start-vector slices in
-/// reordered ids (the same vectors the dense path back-substitutes);
-/// `compact_path` selects the 4- vs 8-byte index cost in the bytes
+/// iterate `r2`, on the views in `kern` (dec supplies the partition sizes
+/// and the permutation). `cq1`/`cq3` are the scaled start-vector slices in
+/// reordered ids (the same vectors the dense path back-substitutes). The
+/// views' index width sets the 4- vs 8-byte index cost in the bytes
 /// accounting only — the arithmetic is identical on both kernel paths.
 /// `opts.k` must be >= 1; `opts.exclude` is an ORIGINAL node id.
 /// `score_bound` is carried into TopKResult::error_bound (0 for exact).
 /// Registers and bumps the topk.* metric counters.
 TopKResult PrunedTopK(const HubSpokeDecomposition& dec,
+                      const DecompositionKernels& kern,
                       const TopKBoundTables& tables,
-                      const Permutation& inverse_perm, bool compact_path,
-                      const Vector& cq1, const Vector& cq3, const Vector& r2,
-                      real_t score_bound, const TopKOptions& opts);
+                      const Permutation& inverse_perm, const Vector& cq1,
+                      const Vector& cq3, const Vector& r2, real_t score_bound,
+                      const TopKOptions& opts);
 
 /// Bytes the dense back-substitution streams under the spmv.bytes traffic
 /// model (every row of H12, L1^{-1}, U1^{-1}, H31, H32 plus the dense
 /// operands): the baseline bench_topk compares bytes_touched against.
-std::uint64_t DenseBackSubstitutionBytes(const HubSpokeDecomposition& dec,
+std::uint64_t DenseBackSubstitutionBytes(const DecompositionKernels& kern,
                                          bool compact_path);
 
 /// Records a top-k query answered through the dense full-solve path

@@ -29,14 +29,15 @@ std::uint64_t DoubleBits(double v) {
 
 std::uint64_t ModelFingerprint(const BepiSolver& solver) {
   const HubSpokeDecomposition& dec = solver.decomposition();
+  const DecompositionKernels& kern = *solver.kernels();
   const BepiOptions& opt = solver.options();
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
   h = Fnv1a(h, static_cast<std::uint64_t>(dec.n));
   h = Fnv1a(h, static_cast<std::uint64_t>(dec.n1));
   h = Fnv1a(h, static_cast<std::uint64_t>(dec.n2));
   h = Fnv1a(h, static_cast<std::uint64_t>(dec.n3));
-  h = Fnv1a(h, static_cast<std::uint64_t>(dec.schur.nnz()));
-  h = Fnv1a(h, static_cast<std::uint64_t>(dec.h11.nnz()));
+  h = Fnv1a(h, static_cast<std::uint64_t>(kern.schur.nnz()));
+  h = Fnv1a(h, static_cast<std::uint64_t>(kern.h11.nnz()));
   h = Fnv1a(h, DoubleBits(static_cast<double>(opt.restart_prob)));
   h = Fnv1a(h, DoubleBits(static_cast<double>(opt.tolerance)));
   h = Fnv1a(h, static_cast<std::uint64_t>(opt.max_iterations));

@@ -6,6 +6,8 @@
 #define BEPI_SOLVER_ILU0_HPP_
 
 #include <cstdint>
+#include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/status.hpp"
@@ -20,15 +22,18 @@ class Ilu0 final : public Preconditioner {
  public:
   /// Computes the ILU(0) factors of `a`. Requires a structurally non-zero
   /// diagonal (guaranteed for the Schur complements arising from H, which
-  /// are strictly diagonally dominant).
+  /// are strictly diagonally dominant). The factors share a's pattern (no
+  /// copy); only the values are new.
+  static Result<Ilu0> Factor(const KernelCsr& a);
+  /// The same over an owned 64-bit copy of a's pattern.
   static Result<Ilu0> Factor(const CsrMatrix& a);
 
   /// Adopts factors that Factor(a) computed earlier (a model's persisted
-  /// "ilu0" section): `values` is the combined factor storage over a's
-  /// pattern. Locates the diagonal and checks every pivot as Factor does;
-  /// no elimination runs.
-  static Result<Ilu0> FromFactors(const CsrMatrix& a,
-                                  std::vector<real_t> values);
+  /// "ilu0" section): `values` holds a.nnz() entries of combined factor
+  /// storage over a's pattern, kept alive by `owner`. Locates the diagonal
+  /// and checks every pivot as Factor does; no elimination runs.
+  static Result<Ilu0> FromFactors(const KernelCsr& a, const real_t* values,
+                                  std::shared_ptr<const void> owner);
 
   index_t size() const override { return factors_.rows(); }
 
@@ -41,14 +46,14 @@ class Ilu0 final : public Preconditioner {
   /// The upper factor U.
   CsrMatrix ExtractUpper() const;
 
-  /// Combined storage (same pattern as the input matrix).
-  const CsrMatrix& factors() const { return factors_; }
+  /// Combined storage (the input matrix's pattern, the factor values).
+  const KernelCsr& factors() const { return factors_; }
 
-  /// Prepares the bandwidth-optimized Apply: builds topological level
-  /// schedules for the forward and backward substitutions (see
-  /// solver/trisolve.hpp) and, when `requested` resolves to the compact
-  /// path and the factors fit, uint32 copies of the index arrays. Called
-  /// once after Factor; Apply stays valid (serial, wide) without it.
+  /// Prepares the bandwidth-optimized Apply: puts the pattern on
+  /// `requested`'s path (a converted copy only when its index width
+  /// differs) and builds topological level schedules for the forward and
+  /// backward substitutions (see solver/trisolve.hpp). Apply stays valid
+  /// (serial) without it.
   void EnableKernels(KernelPath requested);
 
   /// Like EnableKernels but adopts schedules restored from a model instead
@@ -66,34 +71,32 @@ class Ilu0 final : public Preconditioner {
   const LevelSchedule* upper_levels() const {
     return has_schedules() ? &upper_levels_ : nullptr;
   }
-  /// Whether Apply streams the 32-bit index sidecar.
-  bool compact() const { return compact_; }
+  /// Whether the pattern (and so Apply) uses 32-bit indices.
+  bool compact() const { return factors_.compact(); }
 
-  /// Factor storage plus any kernel state owned on top of it (uint32 index
-  /// sidecar, level schedules).
+  /// Factor storage (pattern and values), diagonal positions and level
+  /// schedules.
   std::uint64_t ByteSize() const;
 
  private:
   Ilu0() = default;
 
-  /// Sets factors_ to a's pattern with `values` (only the pattern is
-  /// copied) and locates the diagonal of every row (FailedPrecondition
-  /// when one is structurally missing).
-  static Result<Ilu0> WithPattern(const CsrMatrix& a,
-                                  std::vector<real_t> values);
+  /// Factors over `pattern` with `values` (alive through `owner`), the
+  /// diagonal of every row located (FailedPrecondition when one is
+  /// structurally missing).
+  static Result<Ilu0> OverPattern(const KernelCsr& pattern,
+                                  const real_t* values,
+                                  std::shared_ptr<const void> owner);
+  /// Puts the pattern on `requested`'s path; diagonal positions follow.
+  void SetPath(KernelPath requested);
 
-  void BindCompactSidecar(KernelPath requested);
-
-  CsrMatrix factors_;              // L below diagonal, U on/above
-  std::vector<index_t> diag_pos_;  // position of a_ii within row i
+  KernelCsr factors_;  // L below diagonal, U on/above
+  /// Position of a_ii within row i, at the pattern's index width.
+  std::variant<std::vector<std::uint32_t>, std::vector<index_t>> diag_pos_;
 
   // Kernel state (empty until EnableKernels / AdoptSchedules).
   LevelSchedule lower_levels_;
   LevelSchedule upper_levels_;
-  bool compact_ = false;
-  std::vector<std::uint32_t> row_ptr32_;
-  std::vector<std::uint32_t> col_idx32_;
-  std::vector<std::uint32_t> diag_pos32_;
 };
 
 }  // namespace bepi

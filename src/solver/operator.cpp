@@ -30,14 +30,23 @@ void LinearOperator::ApplyMulti(const real_t* x, index_t k, real_t* y) const {
   }
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) {
+JacobiPreconditioner::JacobiPreconditioner(const KernelCsr& a) {
   BEPI_CHECK(a.rows() == a.cols());
   inv_diag_.assign(static_cast<std::size_t>(a.rows()), 1.0);
-  for (index_t i = 0; i < a.rows(); ++i) {
-    const real_t d = a.At(i, i);
-    if (d != 0.0) inv_diag_[static_cast<std::size_t>(i)] = 1.0 / d;
-  }
+  a.Visit([&](const auto* row_ptr, const auto* col_idx) {
+    for (index_t i = 0; i < a.rows(); ++i) {
+      for (auto p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+        if (static_cast<index_t>(col_idx[p]) != i) continue;
+        const real_t d = a.values()[p];
+        if (d != 0.0) inv_diag_[static_cast<std::size_t>(i)] = 1.0 / d;
+        break;
+      }
+    }
+  });
 }
+
+JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a)
+    : JacobiPreconditioner(KernelCsr::Bind(a, KernelPath::kWide)) {}
 
 void JacobiPreconditioner::Apply(const Vector& r, Vector* z) const {
   BEPI_CHECK(r.size() == inv_diag_.size());

@@ -59,9 +59,9 @@ class CsrOperator final : public LinearOperator {
   const CsrMatrix& m_;
 };
 
-/// Wraps a bound KernelCsr view (sparse/kernel.hpp) as an operator, giving
-/// the iterative solvers the compact-index and fused kernels. The view (and
-/// the CsrMatrix it binds) must outlive the operator.
+/// Wraps a KernelCsr view (sparse/kernel.hpp) as an operator, giving the
+/// iterative solvers the compact-index and fused kernels. The view must
+/// outlive the operator.
 class KernelCsrOperator final : public LinearOperator {
  public:
   explicit KernelCsrOperator(const KernelCsr& k) : k_(k) {}
@@ -108,6 +108,7 @@ class IdentityPreconditioner final : public Preconditioner {
 /// treated as 1 so the operator stays well-defined.
 class JacobiPreconditioner final : public Preconditioner {
  public:
+  explicit JacobiPreconditioner(const KernelCsr& a);
   explicit JacobiPreconditioner(const CsrMatrix& a);
   index_t size() const override { return static_cast<index_t>(inv_diag_.size()); }
   void Apply(const Vector& r, Vector* z) const override;

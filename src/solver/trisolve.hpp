@@ -18,6 +18,7 @@
 
 #include "common/status.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/kernel.hpp"
 
 namespace bepi {
 
@@ -32,8 +33,10 @@ class LevelSchedule {
   /// Levels for a forward solve: row i depends on rows j < i present in
   /// its pattern (entries on or above the diagonal are ignored). Works on
   /// a standalone L or on combined ILU(0) factor storage.
+  static LevelSchedule BuildLower(const KernelCsr& m);
   static LevelSchedule BuildLower(const CsrMatrix& m);
   /// Levels for a backward solve: row i depends on rows j > i.
+  static LevelSchedule BuildUpper(const KernelCsr& m);
   static LevelSchedule BuildUpper(const CsrMatrix& m);
 
   /// Reassembles a schedule restored from a model. Validates the CSR-like
@@ -52,6 +55,7 @@ class LevelSchedule {
   /// True iff executing the levels in order respects every dependency of
   /// `m`'s pattern (`lower`: deps are cols < row; otherwise cols > row).
   /// Used to vet schedules loaded from a model before adopting them.
+  bool ValidFor(const KernelCsr& m, bool lower) const;
   bool ValidFor(const CsrMatrix& m, bool lower) const;
 
   std::uint64_t ByteSize() const {
@@ -60,7 +64,7 @@ class LevelSchedule {
   }
 
  private:
-  static LevelSchedule Build(const CsrMatrix& m, bool lower);
+  static LevelSchedule Build(const KernelCsr& m, bool lower);
 
   std::vector<index_t> level_ptr_{0};  // num_levels + 1 entries
   std::vector<index_t> rows_;          // grouped by level, ascending within

@@ -36,12 +36,12 @@ BoundContext MakeContext(std::uint64_t seed, real_t epsilon) {
                    ExactSolver(base), epsilon};
   BEPI_CHECK(ctx.solver.Preprocess(ctx.graph).ok());
   BEPI_CHECK(ctx.exact.Preprocess(ctx.graph).ok());
-  const HubSpokeDecomposition& dec = ctx.solver.decomposition();
-  ctx.sigma_min_s = SmallestSingularValue(dec.schur).value();
-  ctx.sigma_min_h11 = SmallestSingularValue(dec.h11).value();
-  ctx.h12_norm = MatrixNorm2(dec.h12);
-  ctx.h31_norm = MatrixNorm2(dec.h31);
-  ctx.h32_norm = MatrixNorm2(dec.h32);
+  const DecompositionKernels& kern = *ctx.solver.kernels();
+  ctx.sigma_min_s = SmallestSingularValue(kern.schur.ToCsr()).value();
+  ctx.sigma_min_h11 = SmallestSingularValue(kern.h11.ToCsr()).value();
+  ctx.h12_norm = MatrixNorm2(kern.h12.ToCsr());
+  ctx.h31_norm = MatrixNorm2(kern.h31.ToCsr());
+  ctx.h32_norm = MatrixNorm2(kern.h32.ToCsr());
   return ctx;
 }
 
@@ -119,11 +119,12 @@ TEST(AccuracyBound, Lemma2ResidualImpliesR2Bound) {
   q2[static_cast<std::size_t>(dec.perm[static_cast<std::size_t>(hub_seed)] -
                               dec.n1)] = c;
 
-  auto s_lu = DenseLu::Factor(dec.schur.ToDense());
+  const CsrMatrix schur = ctx.solver.kernels()->schur.ToCsr();
+  auto s_lu = DenseLu::Factor(schur.ToDense());
   ASSERT_TRUE(s_lu.ok());
   Vector r2_true = s_lu->Solve(q2);
 
-  CsrOperator op(dec.schur);
+  CsrOperator op(schur);
   GmresOptions gm;
   gm.tol = epsilon;
   SolveStats stats;

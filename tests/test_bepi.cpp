@@ -119,8 +119,8 @@ TEST(Bepi, InfoIsConsistent) {
   const BepiPreprocessInfo& info = solver.info();
   EXPECT_EQ(info.n1 + info.n2 + info.n3, 300);
   EXPECT_EQ(info.n3, static_cast<index_t>(g.Deadends().size()));
-  EXPECT_EQ(info.schur_nnz, solver.decomposition().schur.nnz());
-  EXPECT_EQ(info.h22_nnz, solver.decomposition().h22.nnz());
+  EXPECT_EQ(info.schur_nnz, solver.kernels()->schur.nnz());
+  EXPECT_EQ(info.h22_nnz, solver.kernels()->h22.nnz());
   // |S| <= |H22| + |H21 H11^-1 H12| (Section 3.4 bound).
   EXPECT_LE(info.schur_nnz, info.h22_nnz + info.product_nnz);
   EXPECT_NE(solver.preconditioner(), nullptr);

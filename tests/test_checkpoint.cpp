@@ -210,7 +210,7 @@ TEST_F(CheckpointTest, ResumeFromEachStagePrefixMatchesScratch) {
   }
 }
 
-constexpr char kCheckpointMagic[] = "BEPI-CKPT v2";
+constexpr char kCheckpointMagic[] = "BEPI-CKPT v3";
 
 std::string CheckpointPath(const std::string& dir, const std::string& stage) {
   return dir + "/" + stage + ".ckpt";
@@ -245,13 +245,17 @@ std::uint64_t GetU64(const std::string& payload, std::size_t at) {
   return value;
 }
 
+/// `at` rounded up to the 64-byte boundary an array of a payload starts on.
+std::size_t Aligned(std::size_t at) { return (at + 63) / 64 * 64; }
+
 /// Sets the first column index of a matrix payload (sparse/io.hpp: rows,
-/// cols, nnz, index width, row_ptr, col_idx, values) to `column`.
+/// cols, nnz, index width, then row_ptr, col_idx and values, each on a
+/// 64-byte boundary) to `column`.
 void PutFirstColumn(std::string* payload, std::uint32_t column) {
   const std::uint64_t rows = GetU64(*payload, 0), nnz = GetU64(*payload, 16);
   ASSERT_GT(nnz, 0u);
   ASSERT_EQ(GetU64(*payload, 24), 4u) << "small test graphs use 4-byte indices";
-  const std::size_t at = 32 + static_cast<std::size_t>(rows + 1) * 4;
+  const std::size_t at = Aligned(64 + static_cast<std::size_t>(rows + 1) * 4);
   ASSERT_LE(at + sizeof(column), payload->size());
   std::memcpy(payload->data() + at, &column, sizeof(column));
 }
@@ -298,21 +302,22 @@ TEST_F(CheckpointTest, TamperedStagePayloadsAreRecomputed) {
   const std::vector<Tamper> tampers = {
       {"reorder perm that is not a permutation", "reorder", "perm",
        [](std::string* p) {
-         // n, n1, n2, n3, index width (8 bytes each), then 4-byte entries:
-         // the second entry repeats the first.
+         // n, n1, n2, n3, index width (8 bytes each), then 4-byte entries
+         // from byte 64: the second entry repeats the first.
          ASSERT_EQ(GetU64(*p, 32), 4u);
-         ASSERT_GE(p->size(), 48u);
-         std::memcpy(p->data() + 44, p->data() + 40, 4);
+         ASSERT_GE(p->size(), 72u);
+         std::memcpy(p->data() + 68, p->data() + 64, 4);
        }},
       {"reorder block sizes that do not tile n1", "reorder", "blocks",
        [](std::string* p) {
-         // count, index width, then the 4-byte sizes: grow the first.
+         // count, index width, then the 4-byte sizes from byte 64: grow
+         // the first.
          ASSERT_EQ(GetU64(*p, 8), 4u);
-         ASSERT_GE(p->size(), 20u);
+         ASSERT_GE(p->size(), 68u);
          std::uint32_t size = 0;
-         std::memcpy(&size, p->data() + 16, sizeof(size));
+         std::memcpy(&size, p->data() + 64, sizeof(size));
          ++size;
-         std::memcpy(p->data() + 16, &size, sizeof(size));
+         std::memcpy(p->data() + 64, &size, sizeof(size));
        }},
       {"factor l1_inv column out of range", "factor", "l1_inv",
        [n1](std::string* p) { PutFirstColumn(p, n1); }},
@@ -374,6 +379,30 @@ TEST_F(CheckpointTest, TamperedReorderInputsAreRecomputed) {
     ExpectTamperedStageRecomputed(Dir(), g, *scratch, tamper,
                                   /*want_resumed=*/1);
   }
+}
+
+TEST_F(CheckpointTest, V2CheckpointsAreRecomputed) {
+  Graph g = test::SmallRmat(110, 470, 0.2, 3031);
+  auto scratch = BuildDecomposition(g, TestDecompositionOptions(), nullptr);
+  ASSERT_TRUE(scratch.ok());
+  CheckpointManager full(Dir());
+  full.Bind(PreprocessFingerprint(g, "tag"));
+  ASSERT_TRUE(
+      BuildDecomposition(g, TestDecompositionOptions(), nullptr, &full).ok());
+  // Every stage a finished run leaves, under the previous format's magic.
+  for (const char* stage : {"reorder", "factor", "schur"}) {
+    std::string content = ReadCheckpoint(Dir(), stage);
+    ASSERT_EQ(content.rfind("BEPI-CKPT v3\n", 0), 0u) << stage;
+    content[std::strlen("BEPI-CKPT v")] = '2';
+    WriteCheckpointFile(Dir(), stage, content);
+  }
+  CheckpointManager resumer(Dir());
+  resumer.Bind(PreprocessFingerprint(g, "tag"));
+  auto resumed =
+      BuildDecomposition(g, TestDecompositionOptions(), nullptr, &resumer);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumer.checkpoints_resumed(), 0);
+  ExpectDecompositionEq(*scratch, *resumed);
 }
 
 TEST_F(CheckpointTest, TextCheckpointsFromV1AreIgnoredWithAWarning) {

@@ -61,10 +61,13 @@ TEST_F(KernelTest, CompactMatchesWideBitwise) {
     const KernelCsr compact = KernelCsr::Bind(m, KernelPath::kAuto);
     ASSERT_FALSE(wide.compact());
     ASSERT_TRUE(compact.compact());
-    EXPECT_EQ(wide.ByteSize(), 0u);
-    // 4 bytes per row pointer and per column index.
+    // 8 or 4 bytes per row pointer and per column index, 8 per value.
+    EXPECT_EQ(wide.ByteSize(),
+              static_cast<std::uint64_t>(8 * (m.rows() + 1 + m.nnz()) +
+                                         8 * m.nnz()));
     EXPECT_EQ(compact.ByteSize(),
-              static_cast<std::uint64_t>(4 * (m.rows() + 1 + m.nnz())));
+              static_cast<std::uint64_t>(4 * (m.rows() + 1 + m.nnz()) +
+                                         8 * m.nnz()));
     const Vector x = test::RandomVector(n, &rng);
     const Vector b = test::RandomVector(n, &rng);
     EXPECT_EQ(wide.Multiply(x), compact.Multiply(x));
@@ -202,7 +205,11 @@ TEST_F(KernelTest, Ilu0KernelApplyMatchesSerialBitwise) {
     ilu->EnableKernels(path);
     ASSERT_TRUE(ilu->has_schedules());
     EXPECT_EQ(ilu->compact(), path == KernelPath::kCompact);
-    EXPECT_GT(ilu->ByteSize(), plain->ByteSize());
+    // Factor storage at the path's index width, diagonal positions and
+    // the two level schedules.
+    EXPECT_GT(ilu->ByteSize(), ilu->factors().ByteSize() +
+                                   ilu->lower_levels()->ByteSize() +
+                                   ilu->upper_levels()->ByteSize());
     for (int threads : {1, 4}) {
       ASSERT_TRUE(ParallelContext::Global().SetNumThreads(threads).ok());
       Vector z(static_cast<std::size_t>(n));
@@ -293,7 +300,7 @@ TEST_F(KernelTest, SolverQueryBitIdenticalAcrossPathsAndThreads) {
   EXPECT_EQ(*loaded_wide->Query(5), baseline);
 }
 
-TEST_F(KernelTest, PreprocessedBytesCountsCompactSidecar) {
+TEST_F(KernelTest, PreprocessedBytesCountsIndexWidth) {
   const Graph g = test::SmallRmat(200, 1000, 0.1, 13);
   BepiOptions options;
   SetGlobalKernelPath(KernelPath::kWide);
@@ -302,10 +309,17 @@ TEST_F(KernelTest, PreprocessedBytesCountsCompactSidecar) {
   SetGlobalKernelPath(KernelPath::kAuto);
   BepiSolver compact(options);
   ASSERT_TRUE(compact.Preprocess(g).ok());
-  // The compact model owns uint32 index copies on top of the shared
-  // matrices; both own the level schedules.
-  EXPECT_GT(compact.kernels()->OwnedBytes(), wide.kernels()->OwnedBytes());
-  EXPECT_GT(compact.PreprocessedBytes(), wide.PreprocessedBytes());
+  // Each model holds its matrices once, at its path's index width: the
+  // compact views replace the 8-byte indices instead of sitting next to
+  // them, 4 bytes saved per row pointer and per column index.
+  const DecompositionKernels& c = *compact.kernels();
+  std::uint64_t saved = 0;
+  for (const KernelCsr* m : {&c.l1_inv, &c.u1_inv, &c.h12, &c.h21, &c.h31,
+                             &c.h32, &c.schur, &c.h11, &c.h22}) {
+    saved += 4 * static_cast<std::uint64_t>(m->rows() + 1 + m->nnz());
+  }
+  EXPECT_EQ(wide.kernels()->ByteSize() - c.ByteSize(), saved);
+  EXPECT_LT(compact.PreprocessedBytes(), wide.PreprocessedBytes());
 }
 
 }  // namespace

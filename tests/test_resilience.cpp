@@ -333,7 +333,7 @@ TEST_F(DegradationChainTest, AllKrylovHopsFailFallsToPowerIteration) {
   FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
-  ASSERT_TRUE(SupportsGlobalPowerFallback(solver.decomposition()));
+  ASSERT_TRUE(SupportsGlobalPowerFallback(*solver.kernels()));
   QueryStats stats;
   auto r = solver.Query(19, &stats);
   ASSERT_TRUE(r.ok());
@@ -385,7 +385,7 @@ TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
   EXPECT_EQ(stream.str().rfind(BepiSolver::kModelMagic, 0), 0u);
   auto loaded = BepiSolver::Load(stream);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(SupportsGlobalPowerFallback(loaded->decomposition()));
+  ASSERT_TRUE(SupportsGlobalPowerFallback(*loaded->kernels()));
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
   FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   QueryStats stats;
@@ -460,7 +460,8 @@ using ResilientApiTest = ResilienceTest;
 TEST_F(ResilientApiTest, ShapeMismatchIsInvalidArgument) {
   Rng rng(21);
   CsrMatrix s = test::RandomDiagDominant(8, 0.4, &rng);
-  ResilientSchurSolver solver(s, nullptr, ResilientSolveOptions{});
+  ResilientSchurSolver solver(KernelCsr::Bind(s, KernelPath::kWide), nullptr,
+                              ResilientSolveOptions{});
   Vector wrong(3, 0.0);
   SchurColumn column;
   column.b = &wrong;
@@ -468,12 +469,12 @@ TEST_F(ResilientApiTest, ShapeMismatchIsInvalidArgument) {
 }
 
 TEST_F(ResilientApiTest, PowerFallbackRequiresV2Blocks) {
-  HubSpokeDecomposition dec;
-  dec.n = 4;
-  dec.n2 = 4;
+  // Four hubs and a Schur complement, but no H11/H22 blocks.
+  DecompositionKernels kern;
+  kern.schur = KernelCsr::Own(CsrMatrix::Identity(4), KernelPath::kWide);
   Vector cq(4, 0.0);
   SchurColumn column;
-  EXPECT_EQ(GlobalPowerFallback(dec, cq, ResilientSolveOptions{}, &column)
+  EXPECT_EQ(GlobalPowerFallback(kern, cq, ResilientSolveOptions{}, &column)
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
@@ -483,7 +484,8 @@ TEST_F(ResilientApiTest, SolveWithoutIluStartsAtJacobi) {
   Rng rng(22);
   CsrMatrix s = test::RandomDiagDominant(30, 0.2, &rng);
   Vector b = test::RandomVector(30, &rng);
-  ResilientSchurSolver solver(s, nullptr, ResilientSolveOptions{});
+  ResilientSchurSolver solver(KernelCsr::Bind(s, KernelPath::kWide), nullptr,
+                              ResilientSolveOptions{});
   SchurColumn column;
   column.b = &b;
   ASSERT_TRUE(solver.Solve({&column, 1}).ok());

@@ -103,7 +103,7 @@ TEST(Serialize, LoadRejectsGarbage) {
     EXPECT_EQ(BepiSolver::Load(wrong).status().code(), StatusCode::kIoError);
   }
   {
-    std::stringstream truncated("BEPI-MODEL v4\n%section options 48 0");
+    std::stringstream truncated("BEPI-MODEL v5\n%section options 48 0");
     EXPECT_FALSE(BepiSolver::Load(truncated).ok());
   }
   {
@@ -137,13 +137,14 @@ TEST(Serialize, LoadRejectsTamperedPermutation) {
   std::stringstream stream;
   ASSERT_TRUE(original.Save(stream).ok());
   // Repeat an id in the permutation behind a valid checksum: the section
-  // is n, n1, n2, n3 and the index width (8 bytes each), then the entries.
+  // is n, n1, n2, n3 and the index width (8 bytes each), then the entries
+  // from the next 64-byte boundary.
   const std::string tampered = test::ReframeSection(
       stream.str(), BepiSolver::kModelMagic, "perm", [](std::string* p) {
         std::uint64_t width = 0;
         std::memcpy(&width, p->data() + 32, sizeof(width));
-        ASSERT_LE(40 + 2 * width, p->size());
-        std::memcpy(p->data() + 40 + width, p->data() + 40, width);
+        ASSERT_LE(64 + 2 * width, p->size());
+        std::memcpy(p->data() + 64 + width, p->data() + 64, width);
       });
   auto loaded = BepiSolver::Load(tampered);
   ASSERT_FALSE(loaded.ok());
