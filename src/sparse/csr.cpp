@@ -341,34 +341,15 @@ Status CsrMatrix::Validate() const {
   if (static_cast<index_t>(row_ptr_.size()) != rows_ + 1) {
     return Status::InvalidArgument("row_ptr has wrong length");
   }
-  if (row_ptr_.front() != 0) {
-    return Status::InvalidArgument("row_ptr must start at 0");
-  }
-  if (row_ptr_.back() != static_cast<index_t>(col_idx_.size()) ||
-      col_idx_.size() != values_.size()) {
+  if (col_idx_.size() != values_.size()) {
     return Status::InvalidArgument("nnz arrays inconsistent with row_ptr");
   }
-  // Arrays may come from a model file, so each row's range is checked
-  // before col_idx is read through it: begin is the previous row's checked
-  // end (or 0), and end must stay within the nnz entries.
-  const auto nnz = static_cast<index_t>(col_idx_.size());
-  for (index_t r = 0; r < rows_; ++r) {
-    const index_t begin = row_ptr_[static_cast<std::size_t>(r)];
-    const index_t end = row_ptr_[static_cast<std::size_t>(r) + 1];
-    if (begin > end) return Status::InvalidArgument("row_ptr not monotone");
-    if (end > nnz) return Status::InvalidArgument("row_ptr exceeds nnz");
-    for (index_t p = begin; p < end; ++p) {
-      const index_t c = col_idx_[static_cast<std::size_t>(p)];
-      if (c < 0 || c >= cols_) {
-        return Status::OutOfRange("column index out of range");
-      }
-      if (p > begin && col_idx_[static_cast<std::size_t>(p) - 1] >= c) {
-        return Status::InvalidArgument(
-            "column indices not sorted/unique within a row");
-      }
-    }
-  }
-  return Status::Ok();
+  // The one CSR structure check, shared with views of a mapped model.
+  return KernelCsr::FromArrays(rows_, cols_,
+                               static_cast<index_t>(col_idx_.size()),
+                               sizeof(index_t), row_ptr_.data(),
+                               col_idx_.data(), values_.data(), nullptr)
+      .status();
 }
 
 }  // namespace bepi
