@@ -121,12 +121,19 @@ struct Call {
       return;
     }
     ++s->cycles;
-    // ApplyResidual is the fused SpMV+axpy kernel for operators that
-    // provide one; its contract (solver/operator.hpp) keeps the result
-    // bitwise equal to the unfused Apply-then-subtract.
-    a.ApplyResidual(c.x, *c.b, &ws.raw);
     Vector& r = s->Basis(0);
-    ApplyPrecond(m, ws.raw, &r);
+    if (s->cycles == 1 && c.x0 == nullptr) {
+      // x = 0: every row of A·0 sums signed zeros to +0, so b - A·0 is b
+      // bit for bit for any finite A, and r is the M^{-1} b Start holds.
+      // (A non-finite A then diverges at the first Arnoldi step.)
+      r.swap(ws.mb);
+    } else {
+      // ApplyResidual is the fused SpMV+axpy kernel for operators that
+      // provide one; its contract (solver/operator.hpp) keeps the result
+      // bitwise equal to the unfused Apply-then-subtract.
+      a.ApplyResidual(c.x, *c.b, &ws.raw);
+      ApplyPrecond(m, ws.raw, &r);
+    }
     const real_t beta = Norm2(r);
     c.stats.relative_residual = beta / s->b_norm;
     if (!std::isfinite(beta)) {

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/cancel.hpp"
+#include "common/metrics.hpp"
 #include "solver/gmres.hpp"
 #include "solver/ilu0.hpp"
 #include "sparse/coo.hpp"
@@ -311,6 +312,94 @@ TEST(GmresWidth, EachColumnEqualsItsOneColumnCallBitwise) {
     EXPECT_EQ(columns[4].x, guess);
     EXPECT_LT(columns[1].stats.iterations, columns[3].stats.iterations);
   }
+}
+
+/// Counts its applies and otherwise forwards to `inner`.
+class CountingPreconditioner final : public Preconditioner {
+ public:
+  explicit CountingPreconditioner(const Preconditioner& inner)
+      : inner_(inner) {}
+  index_t size() const override { return inner_.size(); }
+  void Apply(const Vector& r, Vector* z) const override {
+    ++applies_;
+    inner_.Apply(r, z);
+  }
+  std::uint64_t applies() const { return applies_; }
+
+ private:
+  const Preconditioner& inner_;
+  mutable std::uint64_t applies_ = 0;
+};
+
+TEST(GmresWidth, FirstCycleReusesThePreconditionedRhs) {
+  // Without an initial guess the first cycle starts from the M^{-1} b
+  // that the reference norm needed: one preconditioner apply per Arnoldi
+  // step and one per restart cycle. An explicit zero guess recomputes
+  // r0 = M^{-1}(b - A 0) at its first cycle and must land on the same
+  // result bit for bit.
+  Rng rng(379);
+  const index_t n = 120;
+  const CsrMatrix a = test::RandomDiagDominant(n, 0.05, &rng);
+  const KernelCsr kernel = KernelCsr::Bind(a, KernelPath::kAuto);
+  const KernelCsrOperator op(kernel);
+  auto ilu = Ilu0::Factor(a);
+  ASSERT_TRUE(ilu.ok());
+  const std::vector<Vector> rhs = {test::RandomVector(n, &rng),
+                                   test::RandomVector(n, &rng),
+                                   test::RandomVector(n, &rng)};
+  const Vector zero(static_cast<std::size_t>(n), 0.0);
+  SetMetricsEnabled(true);
+  Counter* cycles =
+      MetricsRegistry::Global().GetCounter("gmres.restart_cycles");
+  struct Run {
+    std::vector<GmresColumn> columns;
+    std::uint64_t applies = 0, cycles = 0, iterations = 0;
+  };
+  // restart 4 is short enough that every column needs a second cycle.
+  for (const index_t restart : {index_t{100}, index_t{4}}) {
+    for (const std::size_t width : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE("restart " + std::to_string(restart) + ", width " +
+                   std::to_string(width));
+      GmresSettings settings;
+      settings.restart = restart;
+      settings.track_history = true;
+      const auto solve = [&](const Vector* x0) {
+        Run run;
+        run.columns.resize(width);
+        for (std::size_t j = 0; j < width; ++j) {
+          run.columns[j].b = &rhs[j];
+          run.columns[j].x0 = x0;
+        }
+        const CountingPreconditioner m(*ilu);
+        cycles->Reset();
+        EXPECT_TRUE(Gmres(op, run.columns, settings, &m).ok());
+        run.applies = m.applies();
+        run.cycles = cycles->value();
+        for (const GmresColumn& c : run.columns) {
+          EXPECT_EQ(c.stats.outcome, SolveOutcome::kConverged);
+          run.iterations += static_cast<std::uint64_t>(c.stats.iterations);
+        }
+        return run;
+      };
+      const Run no_guess = solve(nullptr);
+      const Run zero_guess = solve(&zero);
+      for (std::size_t j = 0; j < width; ++j) {
+        const GmresColumn& got = no_guess.columns[j];
+        const GmresColumn& want = zero_guess.columns[j];
+        EXPECT_EQ(got.x, want.x);
+        EXPECT_EQ(got.stats.iterations, want.stats.iterations);
+        EXPECT_EQ(got.stats.relative_residual, want.stats.relative_residual);
+        EXPECT_EQ(got.stats.residual_history, want.stats.residual_history);
+      }
+      EXPECT_EQ(no_guess.applies, no_guess.iterations + no_guess.cycles);
+      EXPECT_EQ(zero_guess.applies, no_guess.applies + width);
+      EXPECT_EQ(zero_guess.cycles, no_guess.cycles);
+      if (restart == 4) {
+        EXPECT_GE(no_guess.cycles, 2 * width);
+      }
+    }
+  }
+  SetMetricsEnabled(false);
 }
 
 TEST(GmresWidth, ArnoldiBreakdownColumnFinishesBesideIteratingOnes) {
