@@ -457,6 +457,11 @@ void PayloadWriter::Reals(const std::vector<real_t>& v) {
   Reals(v.data(), v.size());
 }
 
+void PayloadWriter::Floats(const float* v, std::size_t count) {
+  Align();
+  Append(v, count * sizeof(float));
+}
+
 std::uint64_t PayloadReader::U64() {
   std::uint64_t v = 0;
   Read(&v, sizeof(v));

@@ -1,5 +1,5 @@
 // Checksummed section framing for durable on-disk artifacts (model format
-// v5, preprocessing checkpoints). A framed file is
+// v6, preprocessing checkpoints). A framed file is
 //
 //   <magic>\n
 //   %section <name> <length> <crc32c-hex><blanks>\n
@@ -18,7 +18,7 @@
 // so the payload starts on a 64-byte file offset; a reader accepts only
 // that exact padding, so a file has one encoding. The framing never looks
 // inside a payload; PayloadWriter/PayloadReader below are the one encoding
-// every payload uses (model format v5 and the preprocessing checkpoints
+// every payload uses (model format v6 and the preprocessing checkpoints
 // alike): 8-byte little-endian fields and raw little-endian arrays, each
 // array preceded by zero pad bytes up to the next 64-byte boundary of the
 // payload, so a reader can use an array in place.
@@ -168,6 +168,8 @@ class PayloadWriter {
   void IndexArray(const std::vector<index_t>& v, std::uint64_t width);
   void Reals(const std::vector<real_t>& v);
   void Reals(const real_t* v, std::size_t count);
+  /// `count` f32 values.
+  void Floats(const float* v, std::size_t count);
   std::string& bytes() { return bytes_; }
 
  private:

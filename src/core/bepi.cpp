@@ -110,7 +110,8 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
     Timer ilu_timer;
     TraceSpan ilu_span("preprocess.ilu0");
     ilu_span.Arg("schur_nnz", kernels_->schur.nnz());
-    // The ILU(0) factors have the same footprint as S (paper Section 3.5).
+    // Factoring holds an f64 copy of S's values beside the f32 factors:
+    // within S's own footprint (paper Section 3.5).
     BEPI_RETURN_IF_ERROR(
         budget.Charge(schur_builder_bytes, "ILU(0) factors of S"));
     // The factors share S's pattern; only their values are new.
@@ -608,11 +609,9 @@ std::uint64_t BepiSolver::PreprocessedBytes() const {
   // preprocessing built them or a load borrowed them from the file — plus
   // the arrays a solver always owns.
   std::uint64_t bytes = kernels_->ByteSize();
-  // The ILU(0) factors share S's pattern: only their values, diagonal
-  // positions and schedules are extra.
-  if (ilu_.has_value()) {
-    bytes += ilu_->ByteSize() - ilu_->factors().PatternBytes();
-  }
+  // The ILU(0) factors share S's pattern: only their values, lower
+  // offsets and schedules are extra.
+  if (ilu_.has_value()) bytes += ilu_->ByteSize();
   bytes += static_cast<std::uint64_t>(dec_.perm.size() + inverse_perm_.size() +
                                       dec_.block_sizes.size()) *
            sizeof(index_t);
@@ -621,7 +620,7 @@ std::uint64_t BepiSolver::PreprocessedBytes() const {
 
 namespace {
 
-// Model format v5 (DESIGN.md §9): the checksummed framing of
+// Model format v6 (DESIGN.md §9): the checksummed framing of
 // common/sections.hpp around raw little-endian arrays, each on a 64-byte
 // file offset (its PayloadWriter, sparse/io.hpp's CSR codec, and
 // core/decomposition.hpp's perm and blocks codecs), so a load uses the
@@ -686,7 +685,7 @@ Result<LevelSchedule> DecodeSchedule(PayloadReader* in, std::uint64_t width,
   return schedule;
 }
 
-/// Whether a v5 writer produces a section called `name`.
+/// Whether a v6 writer produces a section called `name`.
 bool IsModelSection(std::string_view name) {
   for (const MatrixSpec& spec : kMatrixSpecs) {
     if (name == spec.name) return true;
@@ -698,15 +697,15 @@ bool IsModelSection(std::string_view name) {
   return false;
 }
 
-/// Where a non-v5 header came from, for the rejection message.
+/// Where a non-v6 header came from, for the rejection message.
 Status UnsupportedHeader(std::string_view header) {
   constexpr std::string_view kVersionPrefix = "BEPI-MODEL v";
   if (header.substr(0, kVersionPrefix.size()) == kVersionPrefix) {
     return Status::IoError(
         "BePI model format v" +
         std::string(header.substr(kVersionPrefix.size(), 16)) +
-        " is not supported (this build reads v5): re-run `bepi_cli "
-        "preprocess` on the graph to write a v5 model");
+        " is not supported (this build reads v6): re-run `bepi_cli "
+        "preprocess` on the graph to write a v6 model");
   }
   return Status::IoError("not a BePI model stream (bad header)");
 }
@@ -766,9 +765,10 @@ Status BepiSolver::Save(std::ostream& out) const {
   }
   if (ilu_.has_value()) {
     // Only the values: the factors have exactly S's pattern (Section 3.5).
+    // The f32 triangles (nnz(S) - n2), then the f64 pivots (n2).
     PayloadWriter ilu;
-    ilu.Reals(ilu_->factors().values(),
-              static_cast<std::size_t>(ilu_->factors().nnz()));
+    ilu.Floats(ilu_->triangles().data(), ilu_->triangles().size());
+    ilu.Reals(ilu_->pivots().data(), ilu_->pivots().size());
     BEPI_RETURN_IF_ERROR(writer.Add("ilu0", ilu.bytes()));
   }
   {
@@ -881,7 +881,8 @@ Result<BepiSolver> BepiSolver::Load(std::shared_ptr<const AlignedBytes> bytes) {
   }
   // The factor values stay in the file; a preconditioned model without
   // them had ILU(0) break down at preprocess and loads unpreconditioned.
-  const real_t* ilu_values = nullptr;
+  const float* ilu_triangles = nullptr;
+  const real_t* ilu_pivots = nullptr;
   if (sections.count("ilu0") != 0) {
     BEPI_ASSIGN_OR_RETURN(const Section section,
                           FindSection(sections, "ilu0"));
@@ -890,10 +891,17 @@ Result<BepiSolver> BepiSolver::Load(std::shared_ptr<const AlignedBytes> bytes) {
       return in.Malformed("ILU(0) factors, but section 'options' declares "
                           "no preconditioned Schur system");
     }
-    ilu_values = static_cast<const real_t*>(in.BorrowArray(
-        static_cast<std::uint64_t>(views.schur.nnz()), sizeof(real_t)));
+    const auto n2 = static_cast<std::uint64_t>(dec.n2);
+    const auto nnz = static_cast<std::uint64_t>(views.schur.nnz());
+    // Fewer nonzeros than rows: some row of S lacks its diagonal.
+    if (nnz < n2) return in.Malformed("S lacks a diagonal entry");
+    ilu_triangles = static_cast<const float*>(
+        in.BorrowArray(nnz - n2, sizeof(float)));
+    ilu_pivots = static_cast<const real_t*>(
+        in.BorrowArray(n2, sizeof(real_t)));
     BEPI_RETURN_IF_ERROR(in.Finish());
-    Result<Ilu0> ilu = Ilu0::FromFactors(views.schur, ilu_values, bytes);
+    Result<Ilu0> ilu =
+        Ilu0::FromFactors(views.schur, ilu_triangles, ilu_pivots, bytes);
     if (!ilu.ok()) return in.Malformed(ilu.status().message());
     solver.ilu_ = std::move(ilu).value();
   }
@@ -950,8 +958,8 @@ Result<BepiSolver> BepiSolver::Load(std::shared_ptr<const AlignedBytes> bytes) {
     // pattern, keeping their validated schedules.
     LevelSchedule lower = *solver.ilu_->lower_levels();
     LevelSchedule upper = *solver.ilu_->upper_levels();
-    Result<Ilu0> rebound =
-        Ilu0::FromFactors(solver.kernels_->schur, ilu_values, bytes);
+    Result<Ilu0> rebound = Ilu0::FromFactors(
+        solver.kernels_->schur, ilu_triangles, ilu_pivots, bytes);
     BEPI_RETURN_IF_ERROR(rebound.status());
     solver.ilu_ = std::move(rebound).value();
     solver.ilu_->AdoptSchedules(std::move(lower), std::move(upper),

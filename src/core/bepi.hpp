@@ -241,14 +241,14 @@ class BepiSolver final : public RwrSolver {
   const DecompositionKernels* kernels() const { return kernels_.get(); }
   real_t effective_hub_ratio() const { return effective_hub_ratio_; }
 
-  /// First line of every model Save writes: format v5 (DESIGN.md §9).
-  static constexpr char kModelMagic[] = "BEPI-MODEL v5";
+  /// First line of every model Save writes: format v6 (DESIGN.md §9).
+  static constexpr char kModelMagic[] = "BEPI-MODEL v6";
 
   /// Serializes the preprocessed model — options, permutation, the
-  /// query-phase matrices, the ILU(0) factor values, the kernel path with
-  /// its level schedules and the spoke block layout — as checksummed
-  /// sections of raw little-endian arrays, each on a 64-byte file offset,
-  /// so a load can use them in place. Preprocessing runs once and the
+  /// query-phase matrices, the ILU(0) factor values (f32 triangles, f64
+  /// pivots), the kernel path with its level schedules and the spoke
+  /// block layout — as checksummed sections of raw little-endian arrays,
+  /// each on a 64-byte file offset, so a load can use them in place. Preprocessing runs once and the
   /// model can then be shipped to query servers. Byte-stable: saving a
   /// loaded model reproduces the file.
   Status Save(std::ostream& out) const;
@@ -271,7 +271,7 @@ class BepiSolver final : public RwrSolver {
   ///            kernel views.
   /// The query path then reads the matrices and ILU(0) factor values from
   /// the loaded bytes themselves: nothing is copied unless --kernel forces
-  /// an index width the file does not store. A model of format v1-v4 is
+  /// an index width the file does not store. A model of format v1-v5 is
   /// rejected with an error that says to preprocess again.
   static Result<BepiSolver> Load(std::string_view model);
   static Result<BepiSolver> Load(std::istream& in);

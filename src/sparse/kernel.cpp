@@ -444,14 +444,6 @@ KernelCsr KernelCsr::WithPath(KernelPath requested) const {
   return k;
 }
 
-KernelCsr KernelCsr::WithValues(const real_t* values,
-                                std::shared_ptr<const void> owner) const {
-  KernelCsr k = *this;
-  k.values_ = values;
-  k.values_owner_ = std::move(owner);
-  return k;
-}
-
 real_t KernelCsr::RowDot(index_t r, const real_t* x) const {
   return Visit([&](const auto* rp, const auto* ci) {
     return RowDotT(rp, ci, values_, x, r);

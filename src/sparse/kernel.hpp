@@ -7,7 +7,7 @@
 // arrays in place), owned vectors (the end of preprocessing converts each
 // CsrMatrix once), or nothing (Bind's wide view of a caller's CsrMatrix).
 // The indices and the values have a handle each, so a view that converts
-// its indices or takes other values releases only what it replaced.
+// its indices releases only the indices it replaced.
 // The blanket `index_t = int64_t` (common/types.hpp) keeps the builder
 // layers simple, but every query-phase SpMV would then stream twice the
 // index bytes it needs on any graph whose dimensions and nnz fit in 31
@@ -94,10 +94,6 @@ class KernelCsr {
   /// This view on `requested`'s path: itself when its index width already
   /// matches, else a view owning converted index arrays (values shared).
   KernelCsr WithPath(KernelPath requested) const;
-  /// The same pattern with other values (`values` must hold nnz() entries
-  /// and stay alive through `owner`): how ILU(0) factors share S's pattern.
-  KernelCsr WithValues(const real_t* values,
-                       std::shared_ptr<const void> owner) const;
 
   bool compact() const { return width_ == sizeof(std::uint32_t); }
   index_t rows() const { return rows_; }

@@ -32,14 +32,14 @@ namespace bepi {
 namespace {
 
 /// Arrays in a section payload start at a multiple of this many bytes
-/// from the payload start (model format v5 pads with zero bytes).
+/// from the payload start (PayloadWriter pads with zero bytes).
 constexpr std::size_t kArrayAlign = 64;
 
 constexpr char kCheckpointMagic[] = "BEPI-CKPT v3";
 
 /// One mutable location in a payload.
 struct Field {
-  enum Kind { kHeader, kIndex, kReal, kPad };
+  enum Kind { kHeader, kIndex, kReal, kFloat, kPad };
   Kind kind;
   std::string label;
   std::size_t offset;
@@ -86,13 +86,10 @@ class Layout {
     pos_ += static_cast<std::size_t>(count * width);
   }
   void Reals(const std::string& label, std::uint64_t count) {
-    Align();
-    if (count > (payload_.size() - pos_) / 8) {
-      ok_ = false;
-      return;
-    }
-    fields_.push_back({Field::kReal, label, pos_, 8, count});
-    pos_ += static_cast<std::size_t>(count * 8);
+    Values(Field::kReal, label, count, sizeof(double));
+  }
+  void Floats(const std::string& label, std::uint64_t count) {
+    Values(Field::kFloat, label, count, sizeof(float));
   }
   void IndexArray(const std::string& label) {
     const std::uint64_t count = Header(label + ".count");
@@ -122,6 +119,17 @@ class Layout {
   const std::vector<Field>& fields() const { return fields_; }
 
  private:
+  void Values(Field::Kind kind, const std::string& label, std::uint64_t count,
+              std::size_t size) {
+    Align();
+    if (count > (payload_.size() - pos_) / size) {
+      ok_ = false;
+      return;
+    }
+    fields_.push_back({kind, label, pos_, size, count});
+    pos_ += static_cast<std::size_t>(count * size);
+  }
+
   bool Take(std::size_t n) {
     if (!ok_ || n > payload_.size() - pos_) {
       ok_ = false;
@@ -137,9 +145,11 @@ class Layout {
   std::vector<Field> fields_;
 };
 
-/// The fields of section `name` (model or checkpoint), in encoding order.
+/// The fields of section `name` (model or checkpoint), in encoding order,
+/// for a model whose S is n2 x n2 with `schur_nnz` nonzeros.
 std::vector<Field> MapSection(const std::string& name,
-                              const std::string& payload, std::uint64_t n2) {
+                              const std::string& payload, std::uint64_t n2,
+                              std::uint64_t schur_nnz) {
   Layout l(payload);
   if (name == "options") {
     l.Header("mode");
@@ -157,7 +167,8 @@ std::vector<Field> MapSection(const std::string& name,
   } else if (name == "blocks") {
     l.IndexArray("blocks");
   } else if (name == "ilu0") {
-    l.Reals("ilu0.values", payload.size() / 8);
+    l.Floats("ilu0.triangles", schur_nnz - n2);
+    l.Reals("ilu0.pivots", n2);
   } else if (name == "kernel") {
     l.Header("path");
     if (l.Header("schedules") == 1) {
@@ -238,14 +249,17 @@ std::vector<std::uint64_t> BoundaryValues(std::uint64_t v, std::uint64_t n,
 }
 
 /// Every mutation of section `name`: boundary values in each header field
-/// and in `samples` seeded entries of each array, non-finite and zero
-/// reals in sampled real entries, nonzero pads, and payloads cut or
-/// extended by 1, 8 and 64 bytes.
+/// and in `samples` seeded entries of each array, non-finite, zero and
+/// tiny reals in sampled f64 entries, non-finite values in sampled f32
+/// entries, nonzero pads, and payloads cut or extended by 1, 8 and 64
+/// bytes.
 std::vector<Mutation> Mutations(const std::string& name,
                                 const std::string& payload, std::uint64_t n,
-                                std::uint64_t n2, int samples, Rng* rng) {
+                                std::uint64_t n2, std::uint64_t schur_nnz,
+                                int samples, Rng* rng) {
   std::vector<Mutation> out;
-  const std::vector<Field> fields = MapSection(name, payload, n2);
+  const std::vector<Field> fields =
+      MapSection(name, payload, n2, schur_nnz);
   for (std::size_t f = 0; f < fields.size(); ++f) {
     const Field& field = fields[f];
     if (field.kind == Field::kPad) {
@@ -271,6 +285,17 @@ std::vector<Mutation> Mutations(const std::string& name,
       if (field.kind == Field::kReal) {
         for (double x : {0.0, std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity(), 1e-300}) {
+          out.push_back({name, label + " = " + std::to_string(x),
+                         [at, x](std::string* p) {
+                           std::memcpy(p->data() + at, &x, sizeof(x));
+                         },
+                         false});
+        }
+        continue;
+      }
+      if (field.kind == Field::kFloat) {
+        for (float x : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity()}) {
           out.push_back({name, label + " = " + std::to_string(x),
                          [at, x](std::string* p) {
                            std::memcpy(p->data() + at, &x, sizeof(x));
@@ -354,12 +379,15 @@ TEST(DecoderFuzz, ModelSections) {
   const std::string model = saved.str();
   const auto n = static_cast<std::uint64_t>(solver.decomposition().n);
   const auto n2 = static_cast<std::uint64_t>(solver.decomposition().n2);
+  const auto schur_nnz =
+      static_cast<std::uint64_t>(solver.kernels()->schur.nnz());
   ASSERT_GT(n2, 0u);
 
   Rng rng(4003);
   int rejected = 0, loaded = 0;
   for (const auto& [name, payload] : Sections(model, BepiSolver::kModelMagic)) {
-    for (const Mutation& m : Mutations(name, payload, n, n2, 2, &rng)) {
+    for (const Mutation& m :
+         Mutations(name, payload, n, n2, schur_nnz, 2, &rng)) {
       SCOPED_TRACE(m.section + ": " + m.what);
       const std::string framed = test::ReframeSection(
           model, BepiSolver::kModelMagic, m.section, m.edit);
@@ -481,7 +509,9 @@ TEST(DecoderFuzz, CheckpointSections) {
     ASSERT_TRUE(fuzz.Build(files, &baseline).ok());
     for (const auto& [stage, framed] : files) {
       for (const auto& [name, payload] : Sections(framed, kCheckpointMagic)) {
-        for (const Mutation& m : Mutations(name, payload, n, n2, 1, &rng)) {
+        // Checkpoints hold no ILU(0) factors, so no S nonzero count.
+        for (const Mutation& m :
+             Mutations(name, payload, n, n2, /*schur_nnz=*/0, 1, &rng)) {
           SCOPED_TRACE(stage + "." + m.section + ": " + m.what);
           std::map<std::string, std::string> edited = files;
           edited[stage] = test::ReframeSection(framed, kCheckpointMagic,

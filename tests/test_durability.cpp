@@ -342,7 +342,7 @@ TEST_F(ModelV3Test, SaveProducesVerifiableSections) {
   BepiSolver solver = MakeSolver();
   ASSERT_TRUE(solver.Preprocess(g).ok());
   const std::string model = SaveToString(solver);
-  EXPECT_EQ(model.rfind("BEPI-MODEL v5\n", 0), 0u);
+  EXPECT_EQ(model.rfind("BEPI-MODEL v6\n", 0), 0u);
   std::istringstream in(model);
   const IntegrityReport report = CheckIntegrity(in, "BEPI-MODEL");
   EXPECT_TRUE(report.overall.ok()) << report.overall.ToString();
@@ -753,13 +753,24 @@ TEST_F(ModelV3Test, LoadAdoptsPersistedIluFactorsBitwise) {
   auto loaded = BepiSolver::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_NE(loaded->preconditioner(), nullptr);
+  // The adopted factors are the rounded ones a fresh factorization of the
+  // loaded S stores: f32 triangles and f64 pivots, bit for bit.
   auto factored = Ilu0::Factor(loaded->kernels()->schur.ToCsr());
   ASSERT_TRUE(factored.ok());
-  const CsrMatrix adopted = loaded->preconditioner()->factors().ToCsr();
-  const CsrMatrix fresh = factored->factors().ToCsr();
-  EXPECT_EQ(adopted.row_ptr(), fresh.row_ptr());
-  EXPECT_EQ(adopted.col_idx(), fresh.col_idx());
-  EXPECT_EQ(adopted.values(), fresh.values());
+  const Ilu0& adopted = *loaded->preconditioner();
+  const CsrMatrix adopted_pattern = adopted.pattern().ToCsr();
+  const CsrMatrix fresh_pattern = factored->pattern().ToCsr();
+  EXPECT_EQ(adopted_pattern.row_ptr(), fresh_pattern.row_ptr());
+  EXPECT_EQ(adopted_pattern.col_idx(), fresh_pattern.col_idx());
+  ASSERT_EQ(adopted.triangles().size(), factored->triangles().size());
+  ASSERT_EQ(adopted.pivots().size(), factored->pivots().size());
+  EXPECT_EQ(std::memcmp(adopted.triangles().data(),
+                        factored->triangles().data(),
+                        adopted.triangles().size_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(adopted.pivots().data(), factored->pivots().data(),
+                        adopted.pivots().size_bytes()),
+            0);
   EXPECT_EQ(loaded->kernel_schedule_origin(), "model (validated)");
   EXPECT_FALSE(loaded->info().ilu_skipped);
 }

@@ -1,6 +1,7 @@
-// Model format v5: the hardware CRC32C path, the mapped load, what a load
-// rejects (older formats, misplaced arrays, nonzero pads, flipped bits,
-// files that are no model at all), and a served model replaced by rename.
+// The mapped model format (v5 on, now v6): the hardware CRC32C path, the
+// mapped load, what a load rejects (older formats, misplaced arrays,
+// nonzero pads, flipped bits, files that are no model at all), and a
+// served model replaced by rename.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -141,16 +142,21 @@ TEST_F(ModelV5Test, StreamLoadReadsTheRestIntoAlignedBytes) {
 }
 
 TEST_F(ModelV5Test, RejectsV4HeaderNamingPreprocess) {
+  // v4 and v5 (f64 ILU(0) factors in combined L\U storage) alike.
   const BepiSolver solver = Preprocessed(test::SmallRmat(60, 240, 0.2, 5107));
-  std::string model = SaveToString(solver);
-  ASSERT_EQ(model.rfind("BEPI-MODEL v5\n", 0), 0u);
-  model[std::strlen("BEPI-MODEL v")] = '4';
-  auto loaded = BepiSolver::Load(model);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  const std::string message = loaded.status().ToString();
-  EXPECT_NE(message.find("v4"), std::string::npos) << message;
-  EXPECT_NE(message.find("preprocess"), std::string::npos) << message;
+  const std::string current = SaveToString(solver);
+  ASSERT_EQ(current.rfind("BEPI-MODEL v6\n", 0), 0u);
+  for (const char version : {'4', '5'}) {
+    std::string model = current;
+    model[std::strlen("BEPI-MODEL v")] = version;
+    auto loaded = BepiSolver::Load(model);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    const std::string message = loaded.status().ToString();
+    EXPECT_NE(message.find(std::string("v") + version), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("preprocess"), std::string::npos) << message;
+  }
 }
 
 TEST_F(ModelV5Test, EmptyFileAndDirectoryAreIoErrors) {

@@ -96,7 +96,7 @@ const CommandHelp kCommands[] = {
      "           [--k=0.2] [--c=0.05] [--tol=1e-9] [--checkpoint-dir=DIR]",
      "bepi_cli preprocess — run BePI preprocessing, save a model file\n"
      "  --graph=FILE          input edge list (required)\n"
-     "  --model=FILE          output model path, format v5: raw arrays in\n"
+     "  --model=FILE          output model path, format v6: raw arrays in\n"
      "                        checksummed sections (required)\n"
      "  --mode=MODE           bepi (ILU(0)+GMRES, default), bepi-s, bepi-b\n"
      "  --k=X                 hub ratio; 0 = the mode's paper default\n"
@@ -710,7 +710,7 @@ int CmdVerifyModel(const Flags& flags) {
   if (!mapped.ok()) return Fail(mapped.status());
   const IntegrityReport report =
       CheckIntegrity((*mapped)->view(), BepiSolver::kModelMagic);
-  // Not a v5 header: the loader names the format version (or the
+  // Not a v6 header: the loader names the format version (or the
   // stranger) and says what to do about it.
   if (report.magic.empty()) return Fail(BepiSolver::Load(*mapped).status());
   std::printf("%s: %s, %zu sections\n", model_path.c_str(),
