@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -167,7 +168,9 @@ inline std::string EscapeJson(const std::string& s) {
 
 /// Machine-readable companion to the printed tables. Collects flat
 /// (dataset, method, metric, value) records and writes them as one JSON
-/// document — the BENCH_*.json artifacts archived by tools/ci.sh.
+/// document — the BENCH_*.json artifacts archived by tools/ci.sh —
+/// with an optional "context" object of what a reader needs to weigh
+/// the numbers (machine, settings, caveats).
 class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(std::string bench_name)
@@ -177,13 +180,26 @@ class BenchJsonWriter {
            const std::string& metric, double value) {
     records_.push_back({dataset, method, metric, value});
   }
+  /// One "context" entry, written in the order added.
+  void Context(const std::string& key, const std::string& value) {
+    context_.emplace_back(key, value);
+  }
 
   Status WriteFile(const std::string& path) const {
     AtomicFileWriter writer(path);
     BEPI_RETURN_IF_ERROR(writer.status());
     auto& out = writer.stream();
-    out << "{\n  \"bench\": \"" << EscapeJson(name_)
-        << "\",\n  \"results\": [";
+    out << "{\n  \"bench\": \"" << EscapeJson(name_) << "\",\n";
+    if (!context_.empty()) {
+      out << "  \"context\": {";
+      for (std::size_t i = 0; i < context_.size(); ++i) {
+        out << (i == 0 ? "\n" : ",\n") << "    \""
+            << EscapeJson(context_[i].first) << "\": \""
+            << EscapeJson(context_[i].second) << "\"";
+      }
+      out << "\n  },\n";
+    }
+    out << "  \"results\": [";
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
       out << (i == 0 ? "\n" : ",\n");
@@ -222,6 +238,7 @@ class BenchJsonWriter {
     double value;
   };
   std::string name_;
+  std::vector<std::pair<std::string, std::string>> context_;
   std::vector<Record> records_;
 };
 

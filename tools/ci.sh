@@ -253,6 +253,9 @@ counters = qm["counters"]
 assert counters.get("query.count") == 25, counters
 assert counters.get("gmres.solves", 0) > 0, counters
 assert counters.get("spmv.calls", 0) > 0, counters
+# The preconditioner's traffic is counted apart from spmv.*/spmm.*.
+assert counters.get("ilu0.applies", 0) > 0, counters
+assert counters.get("ilu0.bytes", 0) > 0, counters
 latency = qm["histograms"]["query.latency_seconds"]
 assert latency["count"] == 25, latency
 for q in ("p50", "p95", "p99"):
