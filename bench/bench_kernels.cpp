@@ -6,8 +6,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/bepi.hpp"
 #include "graph/generators.hpp"
@@ -215,49 +213,30 @@ double TrisolveBytes(const CsrMatrix& m) {
          2.0 * static_cast<double>(m.rows()) * 8.0;
 }
 
-/// Serial vs level-scheduled forward substitution. The level-scheduled
-/// variant runs on a 4-thread pool (restored to the default afterwards);
-/// both produce bit-identical solutions.
-void RunTrisolve(benchmark::State& state, bool levels) {
+/// Serial forward substitution (the paper's `L\F`, Appendix B).
+void BM_TrisolveSerial(benchmark::State& state) {
   const index_t n = state.range(0);
   CsrMatrix l = MakeLowerTriangular(n, 8);
-  const LevelSchedule sched = LevelSchedule::BuildLower(l);
-  if (levels) {
-    BEPI_CHECK(ParallelContext::Global().SetNumThreads(4).ok());
-  }
   Rng rng(2);
   Vector b(static_cast<std::size_t>(n));
   for (auto& v : b) v = rng.NextDouble();
   for (auto _ : state) {
-    auto x = SolveLowerCsr(l, b, /*unit_diagonal=*/false,
-                           levels ? &sched : nullptr);
+    auto x = SolveLowerCsr(l, b, /*unit_diagonal=*/false);
     benchmark::DoNotOptimize(x->data());
   }
   state.SetItemsProcessed(state.iterations() * l.nnz());
   SetKernelRates(state, 2.0 * static_cast<double>(l.nnz()), TrisolveBytes(l));
-  state.counters["levels"] = static_cast<double>(sched.num_levels());
-  if (levels) {
-    BEPI_CHECK(ParallelContext::Global().SetNumThreads(0).ok());
-  }
 }
-void BM_TrisolveSerial(benchmark::State& state) { RunTrisolve(state, false); }
-void BM_TrisolveLevels(benchmark::State& state) { RunTrisolve(state, true); }
 BENCHMARK(BM_TrisolveSerial)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16);
-BENCHMARK(BM_TrisolveLevels)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16);
 
-/// The full preconditioner application z = U \ (L \ r): plain serial Apply
-/// on the 8-byte-index pattern vs the kernel-enabled form (level schedules,
-/// the pattern on the compact 4-byte path) on a 4-thread pool. Bytes are
-/// the ilu0.bytes traffic model (Ilu0::ApplyBytes).
-void RunIlu0Apply(benchmark::State& state, bool kernels) {
+/// The full preconditioner application z = U \ (L \ r), serial, on the
+/// 8-byte-index pattern. Bytes are the ilu0.bytes traffic model
+/// (Ilu0::ApplyBytes).
+void BM_Ilu0ApplySerial(benchmark::State& state) {
   const index_t n = state.range(0);
   CsrMatrix a = MakeDiagDominant(n, 12);
   auto ilu = Ilu0::Factor(a);
   BEPI_CHECK(ilu.ok());
-  if (kernels) {
-    ilu->EnableKernels(KernelPath::kAuto);
-    BEPI_CHECK(ParallelContext::Global().SetNumThreads(4).ok());
-  }
   Rng rng(2);
   Vector r(static_cast<std::size_t>(n));
   for (auto& v : r) v = rng.NextDouble();
@@ -270,14 +249,8 @@ void RunIlu0Apply(benchmark::State& state, bool kernels) {
   state.SetItemsProcessed(state.iterations() * nnz);
   SetKernelRates(state, 2.0 * static_cast<double>(nnz),
                  static_cast<double>(ilu->ApplyBytes()));
-  if (kernels) {
-    BEPI_CHECK(ParallelContext::Global().SetNumThreads(0).ok());
-  }
 }
-void BM_Ilu0ApplySerial(benchmark::State& state) { RunIlu0Apply(state, false); }
-void BM_Ilu0ApplyLevels(benchmark::State& state) { RunIlu0Apply(state, true); }
 BENCHMARK(BM_Ilu0ApplySerial)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16);
-BENCHMARK(BM_Ilu0ApplyLevels)->Arg(1 << 12)->Arg(1 << 14)->Arg(1 << 16);
 
 void BM_GmresSolve(benchmark::State& state) {
   const index_t n = state.range(0);

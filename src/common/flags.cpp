@@ -1,7 +1,10 @@
 #include "common/flags.hpp"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace bepi {
 
@@ -65,11 +68,18 @@ bool ParsesAs(FlagType type, const std::string& value) {
       return value == "true" || value == "false" || value == "1" ||
              value == "0" || value == "yes" || value == "no" ||
              value == "on" || value == "off";
-    case FlagType::kInt: {
+    case FlagType::kInt:
+    case FlagType::kInt32: {
       if (value.empty()) return false;
       char* end = nullptr;
-      std::strtoll(value.c_str(), &end, 10);
-      return end == value.c_str() + value.size();
+      errno = 0;
+      const long long v = std::strtoll(value.c_str(), &end, 10);
+      if (end != value.c_str() + value.size() || errno == ERANGE) {
+        return false;
+      }
+      return type == FlagType::kInt ||
+             (v >= std::numeric_limits<std::int32_t>::min() &&
+              v <= std::numeric_limits<std::int32_t>::max());
     }
     case FlagType::kDouble: {
       if (value.empty()) return false;
@@ -86,7 +96,9 @@ const char* TypeName(FlagType type) {
     case FlagType::kBool:
       return "boolean";
     case FlagType::kInt:
-      return "integer";
+      return "64-bit integer";
+    case FlagType::kInt32:
+      return "32-bit integer";
     case FlagType::kDouble:
       return "number";
     case FlagType::kString:

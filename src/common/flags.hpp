@@ -16,8 +16,11 @@
 
 namespace bepi {
 
-/// Value shape a flag accepts, checked by Flags::Validate.
-enum class FlagType { kBool, kInt, kDouble, kString };
+/// Value shape a flag accepts, checked by Flags::Validate. kInt is any
+/// base-10 integer that fits in 64 bits; kInt32 one that also fits in 32,
+/// for flags the program keeps in an `int` (thread, slot and connection
+/// counts). A value out of its range is rejected, never truncated.
+enum class FlagType { kBool, kInt, kInt32, kDouble, kString };
 
 struct FlagSpec {
   std::string name;  // without the leading "--"

@@ -105,7 +105,6 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
   if (options_.cancel != nullptr && options_.cancel->Expired()) {
     return options_.cancel->ToStatus("preprocess (ilu)");
   }
-  kernel_schedule_origin_ = "none (no ILU(0) factors)";
   if (options_.mode == BepiMode::kPreconditioned && dec_.n2 > 0) {
     Timer ilu_timer;
     TraceSpan ilu_span("preprocess.ilu0");
@@ -114,12 +113,11 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
     // within S's own footprint (paper Section 3.5).
     BEPI_RETURN_IF_ERROR(
         budget.Charge(schur_builder_bytes, "ILU(0) factors of S"));
-    // The factors share S's pattern; only their values are new.
+    // The factors share S's pattern, on S's kernel path; only their values
+    // are new.
     Result<Ilu0> ilu = Ilu0::Factor(kernels_->schur);
     if (ilu.ok()) {
       ilu_ = std::move(ilu).value();
-      ilu_->EnableKernels(kernels_->path);
-      kernel_schedule_origin_ = "built (preprocess)";
     } else if (options_.enable_fallbacks &&
                ilu.status().code() == StatusCode::kFailedPrecondition) {
       // Breakdown (zero/tiny pivot): degrade to unpreconditioned queries
@@ -609,8 +607,8 @@ std::uint64_t BepiSolver::PreprocessedBytes() const {
   // preprocessing built them or a load borrowed them from the file — plus
   // the arrays a solver always owns.
   std::uint64_t bytes = kernels_->ByteSize();
-  // The ILU(0) factors share S's pattern: only their values, lower
-  // offsets and schedules are extra.
+  // The ILU(0) factors share S's pattern: only their values and lower
+  // offsets are extra.
   if (ilu_.has_value()) bytes += ilu_->ByteSize();
   bytes += static_cast<std::uint64_t>(dec_.perm.size() + inverse_perm_.size() +
                                       dec_.block_sizes.size()) *
@@ -620,7 +618,7 @@ std::uint64_t BepiSolver::PreprocessedBytes() const {
 
 namespace {
 
-// Model format v6 (DESIGN.md §9): the checksummed framing of
+// Model format v7 (DESIGN.md §9): the checksummed framing of
 // common/sections.hpp around raw little-endian arrays, each on a 64-byte
 // file offset (its PayloadWriter, sparse/io.hpp's CSR codec, and
 // core/decomposition.hpp's perm and blocks codecs), so a load uses the
@@ -657,35 +655,7 @@ constexpr MatrixSpec kMatrixSpecs[] = {
      &HubSpokeDecomposition::n2},
 };
 
-/// Level count, then level_ptr and the rows (a factor of `rows` rows).
-void EncodeSchedule(const LevelSchedule& s, std::uint64_t width,
-                    PayloadWriter* out) {
-  out->U64(static_cast<std::uint64_t>(s.num_levels()));
-  out->Indices(s.level_ptr(), width);
-  out->Indices(s.rows(), width);
-}
-
-/// A schedule for a factor of `rows` rows, validated by
-/// LevelSchedule::FromParts (the pattern check is AdoptSchedules').
-Result<LevelSchedule> DecodeSchedule(PayloadReader* in, std::uint64_t width,
-                                     index_t rows) {
-  const std::uint64_t levels = in->U64();
-  BEPI_RETURN_IF_ERROR(in->status());
-  if (levels > static_cast<std::uint64_t>(rows)) {
-    return in->Malformed("a level schedule claims " + std::to_string(levels) +
-                         " levels over " + std::to_string(rows) + " rows");
-  }
-  std::vector<index_t> level_ptr = in->Indices(levels + 1, width);
-  std::vector<index_t> order = in->Indices(static_cast<std::uint64_t>(rows),
-                                           width);
-  BEPI_RETURN_IF_ERROR(in->status());
-  Result<LevelSchedule> schedule =
-      LevelSchedule::FromParts(std::move(level_ptr), std::move(order));
-  if (!schedule.ok()) return in->Malformed(schedule.status().message());
-  return schedule;
-}
-
-/// Whether a v6 writer produces a section called `name`.
+/// Whether a v7 writer produces a section called `name`.
 bool IsModelSection(std::string_view name) {
   for (const MatrixSpec& spec : kMatrixSpecs) {
     if (name == spec.name) return true;
@@ -697,15 +667,15 @@ bool IsModelSection(std::string_view name) {
   return false;
 }
 
-/// Where a non-v6 header came from, for the rejection message.
+/// Where a non-v7 header came from, for the rejection message.
 Status UnsupportedHeader(std::string_view header) {
   constexpr std::string_view kVersionPrefix = "BEPI-MODEL v";
   if (header.substr(0, kVersionPrefix.size()) == kVersionPrefix) {
     return Status::IoError(
         "BePI model format v" +
         std::string(header.substr(kVersionPrefix.size(), 16)) +
-        " is not supported (this build reads v6): re-run `bepi_cli "
-        "preprocess` on the graph to write a v6 model");
+        " is not supported (this build reads v7): re-run `bepi_cli "
+        "preprocess` on the graph to write a v7 model");
   }
   return Status::IoError("not a BePI model stream (bad header)");
 }
@@ -772,18 +742,9 @@ Status BepiSolver::Save(std::ostream& out) const {
     BEPI_RETURN_IF_ERROR(writer.Add("ilu0", ilu.bytes()));
   }
   {
-    // The resolved kernel path (0 wide, 1 compact) and, with ILU(0), the
-    // level schedules of its two triangular solves.
+    // The resolved kernel path: 0 wide, 1 compact.
     PayloadWriter kernel;
     kernel.U64(kernels_->path == KernelPath::kCompact ? 1 : 0);
-    const bool schedules = ilu_.has_value() && ilu_->has_schedules();
-    kernel.U64(schedules ? 1 : 0);
-    if (schedules) {
-      const std::uint64_t width = IndexWidth(dec_.n2, dec_.n2, 0);
-      kernel.U64(width);
-      EncodeSchedule(*ilu_->lower_levels(), width, &kernel);
-      EncodeSchedule(*ilu_->upper_levels(), width, &kernel);
-    }
     BEPI_RETURN_IF_ERROR(writer.Add("kernel", kernel.bytes()));
   }
   // Spoke block layout for the top-k pruning tables (core/topk.hpp).
@@ -910,39 +871,10 @@ Result<BepiSolver> BepiSolver::Load(std::shared_ptr<const AlignedBytes> bytes) {
     BEPI_ASSIGN_OR_RETURN(const Section section,
                           FindSection(sections, "kernel"));
     PayloadReader in(section);
-    const std::uint64_t path = in.U64(), schedules = in.U64();
-    BEPI_RETURN_IF_ERROR(in.status());
-    if (path > 1 || schedules > 1) {
-      return in.Malformed("unknown kernel path or schedule flag");
-    }
-    stored_path = path == 1 ? KernelPath::kCompact : KernelPath::kWide;
-    std::optional<LevelSchedule> lower, upper;
-    if (schedules == 1) {
-      const std::uint64_t width = in.U64();
-      BEPI_ASSIGN_OR_RETURN(lower, DecodeSchedule(&in, width, dec.n2));
-      BEPI_ASSIGN_OR_RETURN(upper, DecodeSchedule(&in, width, dec.n2));
-    }
+    const std::uint64_t path = in.U64();
     BEPI_RETURN_IF_ERROR(in.Finish());
-    // Checked against the factor pattern at the width the file stores it.
-    const KernelPath stored_width = views.schur.compact()
-                                        ? KernelPath::kCompact
-                                        : KernelPath::kWide;
-    if (!solver.ilu_.has_value()) {
-      solver.kernel_schedule_origin_ = "none (no ILU(0) factors)";
-    } else if (lower.has_value()) {
-      if (solver.ilu_->AdoptSchedules(std::move(*lower), std::move(*upper),
-                                      stored_width)) {
-        solver.kernel_schedule_origin_ = "model (validated)";
-      } else {
-        BEPI_LOG(Warning) << "model kernel schedules failed validation "
-                          << "against the ILU(0) pattern; rebuilt";
-        solver.kernel_schedule_origin_ =
-            "rebuilt (model schedules failed validation)";
-      }
-    } else {
-      solver.ilu_->EnableKernels(stored_width);
-      solver.kernel_schedule_origin_ = "rebuilt (model carries no schedules)";
-    }
+    if (path > 1) return in.Malformed("unknown kernel path");
+    stored_path = path == 1 ? KernelPath::kCompact : KernelPath::kWide;
   }
 
   // Bind: the kernel path (the model's own unless --kernel/BEPI_KERNEL
@@ -955,15 +887,11 @@ Result<BepiSolver> BepiSolver::Load(std::shared_ptr<const AlignedBytes> bytes) {
   if (solver.ilu_.has_value() &&
       solver.ilu_->compact() != solver.kernels_->schur.compact()) {
     // A forced path converted S: the factors follow onto the converted
-    // pattern, keeping their validated schedules.
-    LevelSchedule lower = *solver.ilu_->lower_levels();
-    LevelSchedule upper = *solver.ilu_->upper_levels();
+    // pattern.
     Result<Ilu0> rebound = Ilu0::FromFactors(
         solver.kernels_->schur, ilu_triangles, ilu_pivots, bytes);
     BEPI_RETURN_IF_ERROR(rebound.status());
     solver.ilu_ = std::move(rebound).value();
-    solver.ilu_->AdoptSchedules(std::move(lower), std::move(upper),
-                                solver.kernels_->path);
   }
   // Only the structural fields survive a round-trip; the timing breakdown
   // and H22/product counts belong to the original preprocessing run.

@@ -219,14 +219,6 @@ class BepiSolver final : public RwrSolver {
                           McFallbackOptions options = {});
   const McWalkEngine* mc_fallback() const { return mc_; }
 
-  /// Where the active ILU(0) level schedules came from, e.g.
-  /// "built (preprocess)", "model (validated)" or "rebuilt (model
-  /// schedules failed validation)" — surfaced by `bepi_cli verify-model`
-  /// so operators can tell a stale schedule section from a healthy one.
-  const std::string& kernel_schedule_origin() const {
-    return kernel_schedule_origin_;
-  }
-
   const BepiPreprocessInfo& info() const { return info_; }
   const BepiOptions& options() const { return options_; }
   /// Partition sizes, permutation and spoke blocks (the matrices live in
@@ -241,14 +233,14 @@ class BepiSolver final : public RwrSolver {
   const DecompositionKernels* kernels() const { return kernels_.get(); }
   real_t effective_hub_ratio() const { return effective_hub_ratio_; }
 
-  /// First line of every model Save writes: format v6 (DESIGN.md §9).
-  static constexpr char kModelMagic[] = "BEPI-MODEL v6";
+  /// First line of every model Save writes: format v7 (DESIGN.md §9).
+  static constexpr char kModelMagic[] = "BEPI-MODEL v7";
 
   /// Serializes the preprocessed model — options, permutation, the
   /// query-phase matrices, the ILU(0) factor values (f32 triangles, f64
-  /// pivots), the kernel path with its level schedules and the spoke
-  /// block layout — as checksummed sections of raw little-endian arrays,
-  /// each on a 64-byte file offset, so a load can use them in place. Preprocessing runs once and the
+  /// pivots), the kernel path and the spoke block layout — as checksummed
+  /// sections of raw little-endian arrays, each on a 64-byte file offset,
+  /// so a load can use them in place. Preprocessing runs once and the
   /// model can then be shipped to query servers. Byte-stable: saving a
   /// loaded model reproduces the file.
   Status Save(std::ostream& out) const;
@@ -265,13 +257,13 @@ class BepiSolver final : public RwrSolver {
   ///   verify   every section's CRC32C and the manifest;
   ///   validate every structural check, in place: counts against the
   ///            bytes, alignment and zero pads, CSR structure and shapes,
-  ///            the permutation and block tiling, the level schedules, the
-  ///            ILU(0) diagonal and pivots;
+  ///            the permutation and block tiling, the ILU(0) diagonal
+  ///            and pivots;
   ///   bind     the inverse permutation, the top-k bound tables and the
   ///            kernel views.
   /// The query path then reads the matrices and ILU(0) factor values from
   /// the loaded bytes themselves: nothing is copied unless --kernel forces
-  /// an index width the file does not store. A model of format v1-v5 is
+  /// an index width the file does not store. A model of format v1-v6 is
   /// rejected with an error that says to preprocess again.
   static Result<BepiSolver> Load(std::string_view model);
   static Result<BepiSolver> Load(std::istream& in);
@@ -331,7 +323,6 @@ class BepiSolver final : public RwrSolver {
   Permutation inverse_perm_;  // new -> old
   BepiPreprocessInfo info_;
   bool preprocessed_ = false;
-  std::string kernel_schedule_origin_ = "unbound";
   /// Terminal-stage walk engine (not owned; null = stage disarmed).
   const McWalkEngine* mc_ = nullptr;
   McFallbackOptions mc_fallback_options_;

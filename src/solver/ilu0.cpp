@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/faultinject.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 
 namespace bepi {
 namespace {
@@ -27,10 +26,6 @@ Status PivotError(index_t row, real_t pivot) {
                                     std::to_string(row) + " (value " +
                                     std::to_string(pivot) + ")");
 }
-
-// Rows per chunk inside one level (fixed, thread-count-independent — same
-// rationale as kLevelGrain in solver/trisolve.cpp).
-constexpr index_t kLevelGrain = 256;
 
 /// The index type a pattern view's Visit hands out.
 template <typename P>
@@ -106,9 +101,8 @@ struct FactorRows {
 
 // One row of the forward solve L y = r (unit diagonal): row i's L values,
 // one contiguous run, against the pattern's columns left of its diagonal.
-// The serial and level-scheduled sweeps call the same two row functions at
-// either index width, so every path runs the same arithmetic: f32 values
-// widened, accumulated in f64 in column order.
+// At either index width the arithmetic is the same: f32 values widened,
+// accumulated in f64 in column order.
 template <typename I>
 inline void ForwardRow(const FactorRows<I>& f, index_t i, real_t* z) {
   const I* col = f.col_idx + f.row_ptr[i];
@@ -135,42 +129,6 @@ inline void BackwardRow(const FactorRows<I>& f, index_t i, real_t* z) {
     sum -= static_cast<real_t>(v[q]) * z[col[q]];
   }
   z[i] = sum / f.pivots[i];
-}
-
-// Full two-solve Apply body. With schedules, each level's rows run in
-// parallel; per-row arithmetic is unchanged, so the result is bit-identical
-// to the serial loops at any thread count.
-template <typename I>
-void SolveFactors(const FactorRows<I>& f, index_t n,
-                  const LevelSchedule* lower, const LevelSchedule* upper,
-                  real_t* z) {
-  if (lower != nullptr && upper != nullptr) {
-    const std::vector<index_t>& llp = lower->level_ptr();
-    const std::vector<index_t>& lrows = lower->rows();
-    for (index_t lv = 0; lv < lower->num_levels(); ++lv) {
-      ParallelFor(llp[static_cast<std::size_t>(lv)],
-                  llp[static_cast<std::size_t>(lv) + 1], kLevelGrain,
-                  [&](index_t pb, index_t pe) {
-                    for (index_t p = pb; p < pe; ++p) {
-                      ForwardRow(f, lrows[static_cast<std::size_t>(p)], z);
-                    }
-                  });
-    }
-    const std::vector<index_t>& ulp = upper->level_ptr();
-    const std::vector<index_t>& urows = upper->rows();
-    for (index_t lv = 0; lv < upper->num_levels(); ++lv) {
-      ParallelFor(ulp[static_cast<std::size_t>(lv)],
-                  ulp[static_cast<std::size_t>(lv) + 1], kLevelGrain,
-                  [&](index_t pb, index_t pe) {
-                    for (index_t p = pb; p < pe; ++p) {
-                      BackwardRow(f, urows[static_cast<std::size_t>(p)], z);
-                    }
-                  });
-    }
-    return;
-  }
-  for (index_t i = 0; i < n; ++i) ForwardRow(f, i, z);
-  for (index_t i = n - 1; i >= 0; --i) BackwardRow(f, i, z);
 }
 
 /// The values Factor computes, owned.
@@ -295,57 +253,16 @@ void Ilu0::Apply(const Vector& r, Vector* z) const {
     bytes->Increment(ApplyBytes());
   }
   z->assign(r.begin(), r.end());
-  // Level schedules are only worth the row indirection when there is a
-  // thread pool to spread the levels over; nested calls (already on a
-  // worker thread) run the plain serial loops. Either way the output is
-  // bit-identical — only the traversal order across independent rows moves.
-  const bool parallel = has_schedules() &&
-                        ParallelContext::Global().pool() != nullptr &&
-                        !ThreadPool::OnWorkerThread();
-  const LevelSchedule* lower = parallel ? &lower_levels_ : nullptr;
-  const LevelSchedule* upper = parallel ? &upper_levels_ : nullptr;
+  real_t* out = z->data();
   pattern_.Visit([&](const auto* row_ptr, const auto* col_idx) {
     using I = IndexOf<decltype(row_ptr)>;
     const I* lower_begin = std::get<std::vector<I>>(lower_begin_).data();
     const FactorRows<I> f{row_ptr,    col_idx,
                           lower_begin, triangles_,
                           triangles_ + lower_begin[n], pivots_};
-    SolveFactors(f, n, lower, upper, z->data());
+    for (index_t i = 0; i < n; ++i) ForwardRow(f, i, out);
+    for (index_t i = n - 1; i >= 0; --i) BackwardRow(f, i, out);
   });
-}
-
-void Ilu0::SetPath(KernelPath requested) {
-  KernelCsr repathed = pattern_.WithPath(requested);
-  if (repathed.compact() == pattern_.compact()) return;
-  pattern_ = std::move(repathed);
-  lower_begin_ = std::visit(
-      [&](const auto& begin) -> decltype(lower_begin_) {
-        if (pattern_.compact()) {
-          return std::vector<std::uint32_t>(begin.begin(), begin.end());
-        }
-        return std::vector<index_t>(begin.begin(), begin.end());
-      },
-      lower_begin_);
-}
-
-void Ilu0::EnableKernels(KernelPath requested) {
-  SetPath(requested);
-  lower_levels_ = LevelSchedule::BuildLower(pattern_);
-  upper_levels_ = LevelSchedule::BuildUpper(pattern_);
-}
-
-bool Ilu0::AdoptSchedules(LevelSchedule lower, LevelSchedule upper,
-                          KernelPath requested) {
-  SetPath(requested);
-  const bool usable = lower.ValidFor(pattern_, /*lower=*/true) &&
-                      upper.ValidFor(pattern_, /*lower=*/false);
-  if (usable) {
-    lower_levels_ = std::move(lower);
-    upper_levels_ = std::move(upper);
-  } else {
-    EnableKernels(requested);  // discard: rebuild schedules from the pattern
-  }
-  return usable;
 }
 
 std::uint64_t Ilu0::ApplyBytes() const {
@@ -360,8 +277,7 @@ std::uint64_t Ilu0::ByteSize() const {
       std::visit([](const auto& b) -> std::uint64_t {
         return static_cast<std::uint64_t>(b.size()) * sizeof(b[0]);
       }, lower_begin_);
-  return triangles().size_bytes() + pivots().size_bytes() + lower_begin +
-         lower_levels_.ByteSize() + upper_levels_.ByteSize();
+  return triangles().size_bytes() + pivots().size_bytes() + lower_begin;
 }
 
 CsrMatrix Ilu0::ExtractLower() const {

@@ -13,6 +13,9 @@
 // pull through the cache, so each reads only its own triangle's values,
 // one contiguous run per row (interleaved L\U rows would make each sweep
 // pull the other triangle's values as well).
+//
+// The factors read the pattern of the matrix they were built over, at its
+// index width: Factor over S's compact view gives compact factors.
 #ifndef BEPI_SOLVER_ILU0_HPP_
 #define BEPI_SOLVER_ILU0_HPP_
 
@@ -24,7 +27,6 @@
 
 #include "common/status.hpp"
 #include "solver/operator.hpp"
-#include "solver/trisolve.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/kernel.hpp"
 
@@ -35,7 +37,7 @@ class Ilu0 final : public Preconditioner {
   /// Computes the ILU(0) factors of `a`. Requires a structurally non-zero
   /// diagonal (guaranteed for the Schur complements arising from H, which
   /// are strictly diagonally dominant). The factors share a's pattern (no
-  /// copy); only the values are new.
+  /// copy) at its index width; only the values are new.
   static Result<Ilu0> Factor(const KernelCsr& a);
   /// The same over an owned 64-bit copy of a's pattern.
   static Result<Ilu0> Factor(const CsrMatrix& a);
@@ -58,8 +60,9 @@ class Ilu0 final : public Preconditioner {
 
   index_t size() const override { return pattern_.rows(); }
 
-  /// z = U^{-1} (L^{-1} r) by forward + backward substitution over the
-  /// stored triangles (no inversion; paper Appendix B).
+  /// z = U^{-1} (L^{-1} r) by one forward and one backward substitution
+  /// over the stored triangles (no inversion; paper Appendix B), serially
+  /// on the calling thread at any thread count (DESIGN.md §11).
   void Apply(const Vector& r, Vector* z) const override;
 
   /// The unit-lower factor L (diagonal stored explicitly as 1), the
@@ -82,28 +85,6 @@ class Ilu0 final : public Preconditioner {
   /// matrix's, not the factors').
   const KernelCsr& pattern() const { return pattern_; }
 
-  /// Prepares the bandwidth-optimized Apply: puts the pattern on
-  /// `requested`'s path (a converted copy only when its index width
-  /// differs) and builds topological level schedules for the forward and
-  /// backward substitutions (see solver/trisolve.hpp). Apply stays valid
-  /// (serial) without it.
-  void EnableKernels(KernelPath requested);
-
-  /// Like EnableKernels but adopts schedules restored from a model instead
-  /// of rebuilding them. Schedules that fail validation against the factor
-  /// pattern are discarded and rebuilt; returns whether both were adopted.
-  bool AdoptSchedules(LevelSchedule lower, LevelSchedule upper,
-                      KernelPath requested);
-
-  bool has_schedules() const {
-    return lower_levels_.num_rows() == pattern_.rows() && pattern_.rows() > 0;
-  }
-  const LevelSchedule* lower_levels() const {
-    return has_schedules() ? &lower_levels_ : nullptr;
-  }
-  const LevelSchedule* upper_levels() const {
-    return has_schedules() ? &upper_levels_ : nullptr;
-  }
   /// Whether the pattern (and so Apply) uses 32-bit indices.
   bool compact() const { return pattern_.compact(); }
 
@@ -114,7 +95,7 @@ class Ilu0 final : public Preconditioner {
   std::uint64_t ApplyBytes() const;
 
   /// What the factors hold beside the shared pattern: the f32 triangles,
-  /// the f64 pivots, the per-row lower offsets and the level schedules.
+  /// the f64 pivots and the per-row lower offsets.
   std::uint64_t ByteSize() const;
 
  private:
@@ -127,8 +108,6 @@ class Ilu0 final : public Preconditioner {
                                   const float* triangles,
                                   const real_t* pivots,
                                   std::shared_ptr<const void> owner);
-  /// Puts the pattern on `requested`'s path; the lower offsets follow.
-  void SetPath(KernelPath requested);
 
   KernelCsr pattern_;
   /// Row i's lower values are triangles_[lower_begin[i], lower_begin[i+1]);
@@ -140,10 +119,6 @@ class Ilu0 final : public Preconditioner {
   const float* triangles_ = nullptr;
   const real_t* pivots_ = nullptr;
   std::shared_ptr<const void> values_owner_;
-
-  // Kernel state (empty until EnableKernels / AdoptSchedules).
-  LevelSchedule lower_levels_;
-  LevelSchedule upper_levels_;
 };
 
 }  // namespace bepi

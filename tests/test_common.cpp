@@ -198,6 +198,35 @@ TEST(Flags, ValidateRejectsMalformedValueNamingFlagAndType) {
   EXPECT_NE(status.message().find("5x"), std::string::npos);
 }
 
+TEST(Flags, ValidateRejectsIntegersThatDoNotFit) {
+  // 2^32 + 2 would narrow to 2 in an int; 2^64 overflows strtoll.
+  const char* argv[] = {"prog", "--threads=4294967298",
+                        "--seed=99999999999999999999"};
+  Flags f = Flags::Parse(3, const_cast<char**>(argv));
+  const Status threads = f.Validate({{"threads", FlagType::kInt32},
+                                     {"seed", FlagType::kString}});
+  EXPECT_EQ(threads.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(threads.message().find("--threads"), std::string::npos);
+  EXPECT_NE(threads.message().find("32-bit integer"), std::string::npos);
+  const Status seed = f.Validate({{"threads", FlagType::kInt},
+                                  {"seed", FlagType::kInt}});
+  EXPECT_EQ(seed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(seed.message().find("--seed"), std::string::npos);
+
+  // The range ends themselves fit.
+  const char* edges[] = {"prog", "--a=2147483647", "--b=-2147483648",
+                         "--c=9223372036854775807"};
+  Flags e = Flags::Parse(4, const_cast<char**>(edges));
+  EXPECT_TRUE(e.Validate({{"a", FlagType::kInt32},
+                          {"b", FlagType::kInt32},
+                          {"c", FlagType::kInt}})
+                  .ok());
+  EXPECT_FALSE(e.Validate({{"a", FlagType::kInt32},
+                           {"b", FlagType::kInt32},
+                           {"c", FlagType::kInt32}})
+                   .ok());
+}
+
 TEST(Flags, ValidateRejectsNonNumericDoubleAndBadBool) {
   const char* argv[] = {"prog", "--tol=fast", "--stats=maybe"};
   Flags f = Flags::Parse(3, const_cast<char**>(argv));

@@ -171,14 +171,6 @@ std::vector<Field> MapSection(const std::string& name,
     l.Reals("ilu0.pivots", n2);
   } else if (name == "kernel") {
     l.Header("path");
-    if (l.Header("schedules") == 1) {
-      const std::uint64_t width = l.Header("schedule.width");
-      for (const char* side : {"lower", "upper"}) {
-        const std::string s = side;
-        l.Indices(s + ".level_ptr", l.Header(s + ".levels") + 1, width);
-        l.Indices(s + ".rows", n2, width);
-      }
-    }
   } else if (name == "meta") {
     l.Header("fingerprint");
     l.Text("stage");
@@ -357,11 +349,11 @@ std::vector<std::pair<std::string, std::string>> Sections(
 }
 
 /// Whether `message` names `section` the way decoder errors do, or a
-/// section validated against it: the ILU(0) factors and the level
-/// schedules are checked over S's pattern.
+/// section validated against it: the ILU(0) factors are checked over S's
+/// pattern.
 bool NamesSection(const std::string& message, const std::string& section) {
   std::vector<std::string> names = {section};
-  if (section == "schur") names.insert(names.end(), {"ilu0", "kernel"});
+  if (section == "schur") names.push_back("ilu0");
   for (const std::string& name : names) {
     if (message.find("'" + name + "'") != std::string::npos) return true;
   }

@@ -342,13 +342,13 @@ TEST_F(ModelV3Test, SaveProducesVerifiableSections) {
   BepiSolver solver = MakeSolver();
   ASSERT_TRUE(solver.Preprocess(g).ok());
   const std::string model = SaveToString(solver);
-  EXPECT_EQ(model.rfind("BEPI-MODEL v6\n", 0), 0u);
+  EXPECT_EQ(model.rfind("BEPI-MODEL v7\n", 0), 0u);
   std::istringstream in(model);
   const IntegrityReport report = CheckIntegrity(in, "BEPI-MODEL");
   EXPECT_TRUE(report.overall.ok()) << report.overall.ToString();
   EXPECT_TRUE(report.manifest_ok);
-  // options + perm + 9 matrices + ILU(0) factor values + kernel path and
-  // schedules + spoke blocks.
+  // options + perm + 9 matrices + ILU(0) factor values + kernel path +
+  // spoke blocks.
   EXPECT_EQ(report.sections.size(), 14u);
 }
 
@@ -675,8 +675,8 @@ class IndexWidener {
 
 /// `payload` of section `name` with every index array 8 bytes wide, or
 /// unchanged for sections that hold none.
-std::string WidenSection(const std::string& name, const std::string& payload,
-                         std::uint64_t n2) {
+std::string WidenSection(const std::string& name,
+                         const std::string& payload) {
   IndexWidener w(payload);
   if (name == "perm") {
     const std::uint64_t n = w.U64();
@@ -687,16 +687,7 @@ std::string WidenSection(const std::string& name, const std::string& payload,
     const std::uint64_t count = w.U64();
     w.Width();
     w.Indices(count);
-  } else if (name == "kernel") {
-    w.U64();  // path
-    if (w.U64() == 1) {
-      w.Width();
-      for (int schedule = 0; schedule < 2; ++schedule) {
-        w.Indices(w.U64() + 1);  // level_ptr
-        w.Indices(n2);           // rows
-      }
-    }
-  } else if (name != "options" && name != "ilu0") {
+  } else if (name != "options" && name != "ilu0" && name != "kernel") {
     const std::uint64_t rows = w.U64();
     w.U64();  // cols
     const std::uint64_t nnz = w.U64();
@@ -712,7 +703,6 @@ TEST_F(ModelV3Test, EightByteIndicesLoadLikeFourByteOnes) {
   BepiSolver solver = MakeSolver();
   ASSERT_TRUE(solver.Preprocess(g).ok());
   const std::string model = SaveToString(solver);
-  const auto n2 = static_cast<std::uint64_t>(solver.decomposition().n2);
   std::ostringstream out;
   {
     SectionWriter writer(out, BepiSolver::kModelMagic);
@@ -724,8 +714,7 @@ TEST_F(ModelV3Test, EightByteIndicesLoadLikeFourByteOnes) {
       if (!next->has_value()) break;
       const std::string payload((*next)->payload);
       ASSERT_TRUE(
-          writer.Add((*next)->name, WidenSection((*next)->name, payload, n2))
-              .ok());
+          writer.Add((*next)->name, WidenSection((*next)->name, payload)).ok());
     }
     ASSERT_TRUE(writer.Finish().ok());
   }
@@ -734,9 +723,8 @@ TEST_F(ModelV3Test, EightByteIndicesLoadLikeFourByteOnes) {
   std::istringstream in(wide);
   auto loaded = BepiSolver::Load(in);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // The schedules were decoded at width 8 and adopted, and the loaded
-  // solver is the 4-byte one: it saves back to the original bytes.
-  EXPECT_EQ(loaded->kernel_schedule_origin(), "model (validated)");
+  // The loaded solver is the 4-byte one: it saves back to the original
+  // bytes.
   EXPECT_EQ(SaveToString(*loaded), model);
   auto r1 = solver.Query(5);
   auto r2 = loaded->Query(5);
@@ -771,7 +759,6 @@ TEST_F(ModelV3Test, LoadAdoptsPersistedIluFactorsBitwise) {
   EXPECT_EQ(std::memcmp(adopted.pivots().data(), factored->pivots().data(),
                         adopted.pivots().size_bytes()),
             0);
-  EXPECT_EQ(loaded->kernel_schedule_origin(), "model (validated)");
   EXPECT_FALSE(loaded->info().ilu_skipped);
 }
 
@@ -794,7 +781,6 @@ TEST_F(ModelV3Test, IluSkippedAtPreprocessLoadsUnpreconditioned) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->preconditioner(), nullptr);
   EXPECT_TRUE(loaded->info().ilu_skipped);
-  EXPECT_EQ(loaded->kernel_schedule_origin(), "none (no ILU(0) factors)");
   QueryStats stats;
   auto r1 = solver.Query(7);
   auto r2 = loaded->Query(7, &stats);

@@ -223,14 +223,13 @@ TEST(Ilu0, SizeAndByteSize) {
   ASSERT_TRUE(ilu.ok());
   EXPECT_EQ(ilu->size(), 15);
   // Beside the shared pattern: 4 bytes per off-diagonal entry, 8 per
-  // pivot, the 16 lower offsets at the pattern's 8-byte width and two
-  // empty level schedules; enabling the kernels fills the schedules.
+  // pivot and the 16 lower offsets at the pattern's 8-byte width.
   EXPECT_EQ(ilu->ByteSize(),
-            4 * static_cast<std::uint64_t>(a.nnz() - 15) + 8 * 15 + 8 * 16 +
-                2 * LevelSchedule().ByteSize());
-  const std::uint64_t plain = ilu->ByteSize();
-  ilu->EnableKernels(KernelPath::kWide);
-  EXPECT_GT(ilu->ByteSize(), plain);
+            4 * static_cast<std::uint64_t>(a.nnz() - 15) + 8 * 15 + 8 * 16);
+  // Over the compact pattern the offsets take 4 bytes each.
+  auto compact = Ilu0::Factor(KernelCsr::Bind(a, KernelPath::kCompact));
+  ASSERT_TRUE(compact.ok());
+  EXPECT_EQ(compact->ByteSize(), ilu->ByteSize() - 4 * 16);
 }
 
 TEST(Ilu0, IdentityMatrix) {

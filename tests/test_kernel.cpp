@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "core/bepi.hpp"
 #include "solver/ilu0.hpp"
@@ -17,10 +18,12 @@ namespace {
 
 constexpr index_t kLimit = 2147483647;  // INT32_MAX
 
-/// Restores the process-global kernel path / thread count a test changed.
+/// Restores the process-global kernel path, thread count and metrics switch
+/// a test changed.
 class KernelTest : public ::testing::Test {
  protected:
   void TearDown() override {
+    SetMetricsEnabled(false);
     SetGlobalKernelPath(KernelPath::kAuto);
     ASSERT_TRUE(ParallelContext::Global().SetNumThreads(0).ok());
   }
@@ -191,70 +194,41 @@ TEST_F(KernelTest, CsrMatrixFusedMethodsDelegate) {
 }
 
 TEST_F(KernelTest, Ilu0KernelApplyMatchesSerialBitwise) {
-  // Many narrow levels, then levels wide enough (hundreds of rows) that
-  // the scheduled sweeps split one level into several chunks at 4 threads.
+  // Factors over the wide and the compact pattern apply alike, bit for
+  // bit, at any thread count, and Apply never forks pool tasks. The
+  // n = 2000 matrix has dependency levels hundreds of rows wide: the case
+  // where a parallel sweep would fork most.
+  SetMetricsEnabled(true);
+  Counter* tasks = MetricsRegistry::Global().GetCounter("parallel.tasks");
   Rng rng(43);
   for (const auto& [n, density] : {std::pair<index_t, real_t>{160, 0.05},
                                    std::pair<index_t, real_t>{2000, 0.001}}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     const CsrMatrix a = test::RandomDiagDominant(n, density, &rng);
-    auto plain = Ilu0::Factor(a);
-    ASSERT_TRUE(plain.ok());
-    ASSERT_FALSE(plain->has_schedules());
+    auto wide = Ilu0::Factor(a);
+    ASSERT_TRUE(wide.ok());
+    ASSERT_FALSE(wide->compact());
+    // The factors take the index width of the view they are built over.
+    auto compact = Ilu0::Factor(KernelCsr::Bind(a, KernelPath::kCompact));
+    ASSERT_TRUE(compact.ok());
+    ASSERT_TRUE(compact->compact());
     const Vector r = test::RandomVector(n, &rng);
-    Vector z_serial(static_cast<std::size_t>(n));
-    plain->Apply(r, &z_serial);
-
-    for (KernelPath path : {KernelPath::kWide, KernelPath::kCompact}) {
-      auto ilu = Ilu0::Factor(a);
-      ASSERT_TRUE(ilu.ok());
-      ilu->EnableKernels(path);
-      ASSERT_TRUE(ilu->has_schedules());
-      EXPECT_EQ(ilu->compact(), path == KernelPath::kCompact);
-      // The f32 triangles, the f64 pivots, the lower offsets at the path's
-      // index width and the two level schedules.
-      EXPECT_EQ(ilu->ByteSize(),
-                ilu->triangles().size_bytes() + ilu->pivots().size_bytes() +
-                    static_cast<std::uint64_t>(n + 1) *
-                        (path == KernelPath::kCompact ? 4 : 8) +
-                    ilu->lower_levels()->ByteSize() +
-                    ilu->upper_levels()->ByteSize());
-      for (int threads : {1, 4}) {
-        ASSERT_TRUE(ParallelContext::Global().SetNumThreads(threads).ok());
+    Vector z_wide(static_cast<std::size_t>(n));
+    wide->Apply(r, &z_wide);
+    for (int threads : {1, 4}) {
+      ASSERT_TRUE(ParallelContext::Global().SetNumThreads(threads).ok());
+      for (const Ilu0* ilu : {&*wide, &*compact}) {
+        const std::string where = std::string(ilu->compact() ? "compact"
+                                                             : "wide") +
+                                  " threads=" + std::to_string(threads);
+        const std::uint64_t tasks_before = tasks->value();
         Vector z(static_cast<std::size_t>(n));
         ilu->Apply(r, &z);
-        EXPECT_EQ(z, z_serial)
-            << KernelPathName(path) << " threads=" << threads;
+        EXPECT_EQ(z, z_wide) << where;
+        EXPECT_EQ(tasks->value(), tasks_before) << where;
       }
     }
   }
-}
-
-TEST_F(KernelTest, Ilu0AdoptSchedulesValidatesAndRebuilds) {
-  Rng rng(47);
-  const CsrMatrix a = test::RandomDiagDominant(40, 0.1, &rng);
-  auto ilu = Ilu0::Factor(a);
-  ASSERT_TRUE(ilu.ok());
-  const LevelSchedule lower = LevelSchedule::BuildLower(ilu->pattern());
-  const LevelSchedule upper = LevelSchedule::BuildUpper(ilu->pattern());
-  EXPECT_TRUE(ilu->AdoptSchedules(lower, upper, KernelPath::kAuto));
-  EXPECT_TRUE(ilu->has_schedules());
-
-  // A schedule for a different pattern fails validation; the factors
-  // rebuild their own and stay usable.
-  auto other = Ilu0::Factor(test::RandomDiagDominant(40, 0.3, &rng));
-  ASSERT_TRUE(other.ok());
-  auto fresh = Ilu0::Factor(a);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_FALSE(fresh->AdoptSchedules(LevelSchedule::BuildLower(other->pattern()),
-                                     LevelSchedule::BuildUpper(other->pattern()),
-                                     KernelPath::kAuto));
-  EXPECT_TRUE(fresh->has_schedules());
-  Vector z1(40), z2(40);
-  const Vector r = test::RandomVector(40, &rng);
-  ilu->Apply(r, &z1);
-  fresh->Apply(r, &z2);
-  EXPECT_EQ(z1, z2);
 }
 
 /// End-to-end determinism: the full query path must produce bit-identical
@@ -270,7 +244,7 @@ TEST_F(KernelTest, SolverQueryBitIdenticalAcrossPathsAndThreads) {
   EXPECT_EQ(solver.kernels()->path, KernelPath::kCompact);
   EXPECT_FALSE(solver.kernels()->reason.empty());
   ASSERT_NE(solver.preconditioner(), nullptr);
-  EXPECT_TRUE(solver.preconditioner()->has_schedules());
+  EXPECT_TRUE(solver.preconditioner()->compact());
   const Vector baseline = *solver.Query(5);
 
   // Forced wide path, fresh preprocessing.
@@ -278,6 +252,7 @@ TEST_F(KernelTest, SolverQueryBitIdenticalAcrossPathsAndThreads) {
   BepiSolver wide(options);
   ASSERT_TRUE(wide.Preprocess(g).ok());
   EXPECT_EQ(wide.kernels()->path, KernelPath::kWide);
+  EXPECT_FALSE(wide.preconditioner()->compact());
   EXPECT_EQ(*wide.Query(5), baseline);
 
   // Thread-count sweep on the compact solver.
@@ -287,8 +262,8 @@ TEST_F(KernelTest, SolverQueryBitIdenticalAcrossPathsAndThreads) {
     EXPECT_EQ(*wide.Query(5), baseline) << "threads=" << threads;
   }
 
-  // Save/Load round trip: the model records the compact path and the
-  // level schedules; a load under kAuto adopts both.
+  // Save/Load round trip: the model records the compact path; a load under
+  // kAuto adopts it, and the factors follow S onto it.
   SetGlobalKernelPath(KernelPath::kAuto);
   std::ostringstream out;
   ASSERT_TRUE(solver.Save(out).ok());
@@ -298,7 +273,7 @@ TEST_F(KernelTest, SolverQueryBitIdenticalAcrossPathsAndThreads) {
   ASSERT_NE(loaded->kernels(), nullptr);
   EXPECT_EQ(loaded->kernels()->path, KernelPath::kCompact);
   ASSERT_NE(loaded->preconditioner(), nullptr);
-  EXPECT_TRUE(loaded->preconditioner()->has_schedules());
+  EXPECT_TRUE(loaded->preconditioner()->compact());
   EXPECT_EQ(*loaded->Query(5), baseline);
 
   // --kernel=wide wins over the recorded path at load time.
@@ -307,6 +282,7 @@ TEST_F(KernelTest, SolverQueryBitIdenticalAcrossPathsAndThreads) {
   auto loaded_wide = BepiSolver::Load(in2);
   ASSERT_TRUE(loaded_wide.ok());
   EXPECT_EQ(loaded_wide->kernels()->path, KernelPath::kWide);
+  EXPECT_FALSE(loaded_wide->preconditioner()->compact());
   EXPECT_EQ(*loaded_wide->Query(5), baseline);
 }
 

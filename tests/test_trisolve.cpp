@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/parallel.hpp"
 #include "solver/trisolve.hpp"
 #include "test_util.hpp"
 
@@ -82,6 +81,20 @@ TEST(TriSolve, ZeroDiagonalFails) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(SolveUpperCsr(l, {1.0, 1.0}).status().code(),
             StatusCode::kFailedPrecondition);
+
+  // Rows 1 and 3 both lack a diagonal; the forward solve names the first.
+  CooMatrix gaps(5, 5);
+  gaps.Add(0, 0, 1.0);
+  gaps.Add(2, 2, 1.0);
+  gaps.Add(4, 4, 1.0);
+  gaps.Add(1, 0, 1.0);
+  gaps.Add(3, 2, 1.0);
+  const Status lower =
+      SolveLowerCsr(std::move(gaps.ToCsr()).value(), Vector(5, 1.0), false)
+          .status();
+  EXPECT_EQ(lower.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(lower.ToString().find("row 1"), std::string::npos)
+      << lower.ToString();
 }
 
 TEST(TriSolve, ShapeErrors) {
@@ -107,129 +120,6 @@ TEST(TriSolve, TriangularityPredicates) {
   CsrMatrix strictly_upper = std::move(coo.ToCsr()).value();
   EXPECT_FALSE(IsLowerTriangular(strictly_upper));
   EXPECT_TRUE(IsUpperTriangular(strictly_upper));
-}
-
-TEST(LevelSchedule, DiagonalMatrixIsOneLevel) {
-  const CsrMatrix d = CsrMatrix::Identity(6);
-  const LevelSchedule lower = LevelSchedule::BuildLower(d);
-  EXPECT_EQ(lower.num_levels(), 1);
-  EXPECT_EQ(lower.num_rows(), 6);
-  // No cross-row dependencies: every row sits in level 0, ascending.
-  EXPECT_EQ(lower.rows(), (std::vector<index_t>{0, 1, 2, 3, 4, 5}));
-  const LevelSchedule upper = LevelSchedule::BuildUpper(d);
-  EXPECT_EQ(upper.num_levels(), 1);
-  EXPECT_EQ(upper.rows(), (std::vector<index_t>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(LevelSchedule, ChainIsFullySequential) {
-  // Bidiagonal L: row i depends on row i-1, so every row is its own level.
-  const index_t n = 5;
-  CooMatrix coo(n, n);
-  for (index_t i = 0; i < n; ++i) {
-    coo.Add(i, i, 2.0);
-    if (i > 0) coo.Add(i, i - 1, -1.0);
-  }
-  const CsrMatrix l = std::move(coo.ToCsr()).value();
-  const LevelSchedule sched = LevelSchedule::BuildLower(l);
-  EXPECT_EQ(sched.num_levels(), n);
-  EXPECT_EQ(sched.rows(), (std::vector<index_t>{0, 1, 2, 3, 4}));
-  for (index_t lv = 0; lv <= n; ++lv) {
-    EXPECT_EQ(sched.level_ptr()[static_cast<std::size_t>(lv)], lv);
-  }
-}
-
-TEST(LevelSchedule, KnownForestPattern) {
-  // Rows 0..2 are independent roots; 3 depends on 0, 4 on {1, 2},
-  // 5 on {3, 4}: levels {0,1,2}, {3,4}, {5}.
-  CooMatrix coo(6, 6);
-  for (index_t i = 0; i < 6; ++i) coo.Add(i, i, 1.0);
-  coo.Add(3, 0, 1.0);
-  coo.Add(4, 1, 1.0);
-  coo.Add(4, 2, 1.0);
-  coo.Add(5, 3, 1.0);
-  coo.Add(5, 4, 1.0);
-  const CsrMatrix l = std::move(coo.ToCsr()).value();
-  const LevelSchedule sched = LevelSchedule::BuildLower(l);
-  ASSERT_EQ(sched.num_levels(), 3);
-  EXPECT_EQ(sched.level_ptr(), (std::vector<index_t>{0, 3, 5, 6}));
-  EXPECT_EQ(sched.rows(), (std::vector<index_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_TRUE(sched.ValidFor(l, /*lower=*/true));
-  // The same partition read as an upper-solve schedule is invalid: there
-  // the dependencies point the other way.
-  EXPECT_FALSE(sched.ValidFor(l.Transpose(), /*lower=*/false));
-}
-
-TEST(LevelSchedule, UpperLevelsMirrorLower) {
-  Rng rng(229);
-  const CsrMatrix u = RandomUpper(30, &rng);
-  const LevelSchedule sched = LevelSchedule::BuildUpper(u);
-  EXPECT_EQ(sched.num_rows(), 30);
-  EXPECT_TRUE(sched.ValidFor(u, /*lower=*/false));
-  // Upper levels of U == lower levels of U^T, as dependency DAGs match.
-  const LevelSchedule mirror = LevelSchedule::BuildLower(u.Transpose());
-  EXPECT_EQ(sched.num_levels(), mirror.num_levels());
-}
-
-TEST(LevelSchedule, FromPartsValidates) {
-  // A valid reassembly round-trips.
-  auto ok = LevelSchedule::FromParts({0, 2, 3}, {0, 2, 1});
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->num_levels(), 2);
-  EXPECT_EQ(ok->num_rows(), 3);
-  // level_ptr must start at 0, be non-decreasing, and end at rows.size().
-  EXPECT_FALSE(LevelSchedule::FromParts({1, 3}, {0, 1, 2}).ok());
-  EXPECT_FALSE(LevelSchedule::FromParts({0, 2, 1}, {0, 1}).ok());
-  EXPECT_FALSE(LevelSchedule::FromParts({0, 2}, {0, 1, 2}).ok());
-  // rows must be a permutation of 0..n-1.
-  EXPECT_FALSE(LevelSchedule::FromParts({0, 3}, {0, 1, 1}).ok());
-  EXPECT_FALSE(LevelSchedule::FromParts({0, 3}, {0, 1, 3}).ok());
-  EXPECT_TRUE(LevelSchedule::FromParts({0}, {}).ok());  // empty matrix
-}
-
-TEST(TriSolve, LevelScheduledMatchesSerialBitwise) {
-  Rng rng(233);
-  for (index_t n : {1, 7, 40, 150}) {
-    const CsrMatrix l = RandomLower(n, /*unit_diag=*/false, &rng);
-    const CsrMatrix u = RandomUpper(n, &rng);
-    const LevelSchedule lsched = LevelSchedule::BuildLower(l);
-    const LevelSchedule usched = LevelSchedule::BuildUpper(u);
-    const Vector b = test::RandomVector(n, &rng);
-    const Vector lx = *SolveLowerCsr(l, b, false);
-    const Vector ux = *SolveUpperCsr(u, b);
-    for (int threads : {1, 4}) {
-      ASSERT_TRUE(ParallelContext::Global().SetNumThreads(threads).ok());
-      const Vector lx_lv = *SolveLowerCsr(l, b, false, &lsched);
-      const Vector ux_lv = *SolveUpperCsr(u, b, &usched);
-      // Bitwise, not approximate: the level-scheduled path must preserve
-      // each row's accumulation order exactly.
-      EXPECT_EQ(lx, lx_lv) << "n=" << n << " threads=" << threads;
-      EXPECT_EQ(ux, ux_lv) << "n=" << n << " threads=" << threads;
-    }
-    ASSERT_TRUE(ParallelContext::Global().SetNumThreads(1).ok());
-  }
-}
-
-TEST(TriSolve, LevelScheduledReportsSameZeroDiagonalRow) {
-  // Rows 1 and 3 both lack a diagonal; the serial forward scan reports
-  // the first (row 1). The level-scheduled path must name the same row,
-  // regardless of execution order.
-  CooMatrix coo(5, 5);
-  coo.Add(0, 0, 1.0);
-  coo.Add(2, 2, 1.0);
-  coo.Add(4, 4, 1.0);
-  coo.Add(1, 0, 1.0);
-  coo.Add(3, 2, 1.0);
-  const CsrMatrix m = std::move(coo.ToCsr()).value();
-  const LevelSchedule lsched = LevelSchedule::BuildLower(m);
-  const Vector b(5, 1.0);
-  const Status serial_low = SolveLowerCsr(m, b, false).status();
-  ASSERT_TRUE(ParallelContext::Global().SetNumThreads(4).ok());
-  const Status level_low = SolveLowerCsr(m, b, false, &lsched).status();
-  ASSERT_TRUE(ParallelContext::Global().SetNumThreads(1).ok());
-  EXPECT_EQ(serial_low.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(serial_low.ToString(), level_low.ToString());
-  EXPECT_NE(serial_low.ToString().find("row 1"), std::string::npos)
-      << serial_low.ToString();
 }
 
 }  // namespace

@@ -96,7 +96,7 @@ const CommandHelp kCommands[] = {
      "           [--k=0.2] [--c=0.05] [--tol=1e-9] [--checkpoint-dir=DIR]",
      "bepi_cli preprocess — run BePI preprocessing, save a model file\n"
      "  --graph=FILE          input edge list (required)\n"
-     "  --model=FILE          output model path, format v6: raw arrays in\n"
+     "  --model=FILE          output model path, format v7: raw arrays in\n"
      "                        checksummed sections (required)\n"
      "  --mode=MODE           bepi (ILU(0)+GMRES, default), bepi-s, bepi-b\n"
      "  --k=X                 hub ratio; 0 = the mode's paper default\n"
@@ -308,11 +308,9 @@ const CommandHelp kCommands[] = {
      "bepi_cli verify-model — per-section integrity fsck of a model file\n"
      "  --model=FILE     model path (required)\n"
      "maps the model once and checks every section against its stored\n"
-     "CRC32C (a v1-v4 model fails with the loader's error: re-run\n"
-     "`preprocess`). Then loads the model from the same mapping and reports\n"
-     "where the ILU(0) kernel level schedules came from — `model\n"
-     "(validated)` for a healthy kernel section vs `rebuilt (...)` for a\n"
-     "stale one — so operators can tell the two apart.\n"
+     "CRC32C (a v1-v6 model fails with the loader's error: re-run\n"
+     "`preprocess`). Then loads the model from the same mapping, so a\n"
+     "model whose arrays fail validation exits 1 too.\n"
      "example:\n"
      "  bepi_cli verify-model --model=/tmp/m.txt\n"},
     {"help",
@@ -349,7 +347,7 @@ const char kGlobalFlagsHelp[] =
 /// offender instead of being silently ignored.
 std::vector<FlagSpec> WithGlobalFlags(std::vector<FlagSpec> specs) {
   static const FlagSpec kGlobals[] = {
-      {"threads", FlagType::kInt},
+      {"threads", FlagType::kInt32},
       {"kernel", FlagType::kString},
       {"fault-inject", FlagType::kString},
       {"metrics-out", FlagType::kString},
@@ -423,7 +421,7 @@ const std::map<std::string, std::vector<FlagSpec>>& CommandFlagSpecs() {
           {"serve",
            WithGlobalFlags({{"model", FlagType::kString},
                             {"socket", FlagType::kString},
-                            {"slots", FlagType::kInt},
+                            {"slots", FlagType::kInt32},
                             {"max-queue", FlagType::kInt},
                             {"default-deadline-ms", FlagType::kDouble},
                             {"drain-ms", FlagType::kDouble},
@@ -431,15 +429,15 @@ const std::map<std::string, std::vector<FlagSpec>>& CommandFlagSpecs() {
                             {"wedge-ms", FlagType::kDouble},
                             {"max-line-bytes", FlagType::kInt},
                             {"write-timeout-ms", FlagType::kDouble},
-                            {"max-conns", FlagType::kInt},
+                            {"max-conns", FlagType::kInt32},
                             {"graph", FlagType::kString},
                             {"walks", FlagType::kInt},
                             {"delta", FlagType::kDouble},
                             {"walk-seed", FlagType::kInt},
                             {"slow-ms", FlagType::kDouble},
                             {"flight-dump", FlagType::kString},
-                            {"cache-mb", FlagType::kInt},
-                            {"batch-max", FlagType::kInt},
+                            {"cache-mb", FlagType::kInt32},
+                            {"batch-max", FlagType::kInt32},
                             {"batch-window-ms", FlagType::kDouble}})},
           {"metrics-export",
            WithGlobalFlags({{"snapshot", FlagType::kString},
@@ -710,7 +708,7 @@ int CmdVerifyModel(const Flags& flags) {
   if (!mapped.ok()) return Fail(mapped.status());
   const IntegrityReport report =
       CheckIntegrity((*mapped)->view(), BepiSolver::kModelMagic);
-  // Not a v6 header: the loader names the format version (or the
+  // Not a v7 header: the loader names the format version (or the
   // stranger) and says what to do about it.
   if (report.magic.empty()) return Fail(BepiSolver::Load(*mapped).status());
   std::printf("%s: %s, %zu sections\n", model_path.c_str(),
@@ -735,14 +733,10 @@ int CmdVerifyModel(const Flags& flags) {
   if (!report.overall.ok()) return Fail(report.overall);
   std::printf("all sections verified\n");
   // Checksums prove the bytes are intact; only a real load proves the
-  // arrays decode and validate (shapes, permutation, ILU(0) pivots) and
-  // that the kernel section's level schedules match the factor pattern.
-  // Report which schedules the query path would actually run with. The
+  // arrays decode and validate (shapes, permutation, ILU(0) pivots). The
   // load uses the very mapping just checked.
-  auto solver = BepiSolver::Load(*mapped);
-  if (!solver.ok()) return Fail(solver.status());
-  std::printf("kernel schedules: %s\n",
-              solver->kernel_schedule_origin().c_str());
+  const Status loaded = BepiSolver::Load(*mapped).status();
+  if (!loaded.ok()) return Fail(loaded);
   return 0;
 }
 

@@ -74,23 +74,23 @@
 #     and the observability artifact asserts bit-identical scores and
 #     <2% query overhead with the forensics machinery on;
 #   * flag rejections: every `bepi_cli` flag combination that would be
-#     silently ignored must exit 2 naming the flag;
+#     silently ignored, and every integer flag value that does not fit
+#     the type the program keeps it in, must exit 2 naming the flag;
 #   * docs cross-check: tools/check_docs.sh verifies every flag and
 #     BEPI_* variable documented in README/docs against the binary and
 #     the source tree.
 #
 # The "thread" configuration is narrower than the others: it builds only
 # the concurrency-sensitive tests (test_metrics, test_trace,
-# test_parallel, test_trisolve, test_kernel, test_cancel, test_mc,
-# test_topk, test_server, test_cache, test_flightrec, test_promtext)
-# under TSan and runs them directly at BEPI_THREADS=max(4, nproc) — the
-# registry's sharded counters, the per-thread trace buffers, the
-# work-stealing pool, the level-scheduled triangular solves, mid-solve
-# cancellation, the Monte-Carlo walk engine's atomic visit counters, the
-# batch engine's parallel top-k slots, the query server's worker pool,
-# the score cache's LRU under concurrent readers/writers, the flight
-# recorder's seqlock rings and the concurrent Prometheus render are
-# where new data races would land.
+# test_parallel, test_kernel, test_cancel, test_mc, test_topk,
+# test_server, test_cache, test_flightrec, test_promtext) under TSan and
+# runs them directly at BEPI_THREADS=max(4, nproc) — the registry's
+# sharded counters, the per-thread trace buffers, the work-stealing pool,
+# the row-partitioned kernels, mid-solve cancellation, the Monte-Carlo
+# walk engine's atomic visit counters, the batch engine's parallel top-k
+# slots, the query server's worker pool, the score cache's LRU under
+# concurrent readers/writers, the flight recorder's seqlock rings and the
+# concurrent Prometheus render are where new data races would land.
 #
 # Usage: tools/ci.sh [default|address|undefined|thread ...]
 #   With no arguments all four configurations run.
@@ -152,7 +152,15 @@ smoke_flag_rejections() {
     --seed-node=3 --warm-start=mc
   expect_usage_error --no-fallbacks verify-model --model="$work/m.txt" \
     --no-fallbacks
-  echo "    every ignored flag combination exits 2 naming the flag"
+  # Integer values that do not fit are rejected, not truncated: 2^32 + 2
+  # threads would run 2, a 2^32 MiB cache would be none.
+  expect_usage_error --threads generate --out="$work/g2.txt" --nodes=50 \
+    --edges=200 --threads=4294967298
+  expect_usage_error --cache-mb serve --model="$work/m.txt" \
+    --cache-mb=4294967296
+  expect_usage_error --seed-node "${q[@]}" --seed-node=99999999999999999999
+  echo "    every ignored flag combination and out-of-range integer exits 2" \
+    "naming the flag"
   rm -rf "$work"
 }
 
@@ -866,9 +874,9 @@ bench_artifacts() {
   echo "=== benchmark artifacts ==="
   # Cheapest sizes only: the artifact's job is to prove the JSON emitters
   # work end to end, not to produce stable timings. The kernel-layer
-  # comparison pairs (wide vs compact, serial vs level-scheduled, fused
-  # vs unfused) also run at 16384, where the working set leaves L2 and
-  # the index-width bandwidth effect is actually visible.
+  # benchmarks (wide vs compact, fused vs unfused, the serial triangular
+  # solve and ILU(0) apply) also run at 16384, where the working set
+  # leaves L2 and the index-width bandwidth effect is actually visible.
   "$build_dir/bench/bench_kernels" \
     --benchmark_filter='/4096$|/1024$|/512$|^BM_(KernelSpMV|Residual|Trisolve|Ilu0Apply)[A-Za-z]+/16384$' \
     --benchmark_min_time=0.05 \
@@ -982,15 +990,15 @@ for config in "${configs[@]}"; do
   if [ "$config" = thread ]; then
     # TSan pass: the telemetry tests (sharded registry, per-thread trace
     # buffers), the parallel layer (work-stealing pool, TaskGroup,
-    # batched queries) and the level-scheduled kernel layer (parallel
-    # triangular solves, ILU(0) apply) are the concurrency-bearing
-    # surface.
+    # batched queries) and the kernel layer (row-partitioned SpMV at any
+    # thread count beside an ILU(0) apply that runs serially) are the
+    # concurrency-bearing surface.
     echo "=== [$config] build (test_metrics, test_trace, test_parallel," \
-      "test_trisolve, test_kernel, test_cancel, test_mc, test_topk," \
-      "test_server, test_cache, test_flightrec, test_promtext) ==="
+      "test_kernel, test_cancel, test_mc, test_topk, test_server," \
+      "test_cache, test_flightrec, test_promtext) ==="
     cmake --build "$build_dir" -j "$jobs" \
-      --target test_metrics test_trace test_parallel test_trisolve \
-      test_kernel test_cancel test_mc test_topk test_server test_cache \
+      --target test_metrics test_trace test_parallel test_kernel \
+      test_cancel test_mc test_topk test_server test_cache \
       test_flightrec test_promtext
     # At more than one worker thread even on a small runner, so the pool
     # and the parallel kernels really race.
@@ -999,7 +1007,6 @@ for config in "${configs[@]}"; do
     "$build_dir/tests/test_metrics"
     "$build_dir/tests/test_trace"
     "$build_dir/tests/test_parallel"
-    "$build_dir/tests/test_trisolve"
     "$build_dir/tests/test_kernel"
     "$build_dir/tests/test_cancel"
     "$build_dir/tests/test_mc"
