@@ -5,17 +5,17 @@
 // paper reports slopes 1.01, 0.99 and 1.1 — near-linear scaling).
 //
 // A second sweep measures shared-memory parallel scaling: the largest
-// slice is preprocessed once, then a fixed seed batch is answered through
-// BatchQueryEngine at 1, 2, 4, ... worker threads (up to --threads or the
-// hardware width). Vectors must be bit-identical across thread counts —
-// the run aborts if they are not — and the per-width throughput goes into
+// slice is preprocessed once, then a fixed seed batch is answered by one
+// BepiSolver::Solve call (panels of up to 16 seeds spread over the pool)
+// at 1, 2, 4, ... worker threads (up to --threads or the hardware width).
+// Vectors must be bit-identical across thread counts — the run aborts if
+// they are not — and the per-width throughput goes into
 // BENCH_parallel_scaling.json via --json-out.
 //
 // Usage: bench_fig5_scalability [--scale=1.0] [--slices=5] [--queries=3]
 //        [--threads=N] [--batch=64] [--json-out=BENCH_parallel_scaling.json]
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
-#include "core/batch.hpp"
 #include "core/bear.hpp"
 #include "core/bepi.hpp"
 #include "core/iterative.hpp"
@@ -32,10 +32,10 @@ void RunParallelScaling(const bepi::BepiSolver& solver,
   using namespace bepi;
   const int configured_threads = ParallelContext::Global().num_threads();
   Rng rng(20170514);
-  std::vector<index_t> seeds;
-  seeds.reserve(static_cast<std::size_t>(batch_size));
+  std::vector<QueryRequest> requests;
   for (index_t i = 0; i < batch_size; ++i) {
-    seeds.push_back(rng.UniformIndex(0, g.num_nodes() - 1));
+    requests.push_back(
+        {rng.UniformIndex(0, g.num_nodes() - 1), nullptr, {}, {}});
   }
 
   std::printf("\nParallel query scaling (batch of %lld seeds, "
@@ -47,29 +47,32 @@ void RunParallelScaling(const bepi::BepiSolver& solver,
   double baseline_seconds = 0.0;
   for (int t = 1; t <= max_threads; t *= 2) {
     BEPI_CHECK(ParallelContext::Global().SetNumThreads(t).ok());
-    BatchQueryOptions opts;
-    opts.collect_stats = false;
-    BatchQueryEngine engine(solver, opts);
-    auto batch = engine.Run(seeds);
+    Timer timer;
+    auto batch = solver.Solve(requests);
+    const double seconds = timer.Seconds();
     BEPI_CHECK_MSG(batch.ok(), batch.status().ToString().c_str());
+    std::vector<Vector> vectors;
+    for (QueryResult& result : *batch) {
+      BEPI_CHECK_MSG(result.status.ok(), result.status.ToString().c_str());
+      vectors.push_back(std::move(result.scores));
+    }
     bool identical = true;
     if (t == 1) {
-      baseline = batch->vectors;
-      baseline_seconds = batch->seconds;
+      baseline = std::move(vectors);
+      baseline_seconds = seconds;
     } else {
-      identical = batch->vectors == baseline;  // exact, not approximate
+      identical = vectors == baseline;  // exact, not approximate
     }
     BEPI_CHECK_MSG(identical, "parallel batch diverged from 1-thread run");
-    const double speedup =
-        batch->seconds > 0.0 ? baseline_seconds / batch->seconds : 0.0;
-    table.AddRow({Table::Int(t), Table::Num(batch->seconds, 4),
-                  Table::Num(batch->throughput_qps(), 1),
+    const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
+    const double qps =
+        seconds > 0.0 ? static_cast<double>(batch_size) / seconds : 0.0;
+    table.AddRow({Table::Int(t), Table::Num(seconds, 4), Table::Num(qps, 1),
                   Table::Num(speedup, 2), identical ? "yes" : "NO"});
     if (json != nullptr) {
       const std::string method = "threads=" + std::to_string(t);
-      json->Add("WikiLink-sim", method, "batch_seconds", batch->seconds);
-      json->Add("WikiLink-sim", method, "throughput_qps",
-                batch->throughput_qps());
+      json->Add("WikiLink-sim", method, "batch_seconds", seconds);
+      json->Add("WikiLink-sim", method, "throughput_qps", qps);
       json->Add("WikiLink-sim", method, "speedup", speedup);
       json->Add("WikiLink-sim", method, "bit_identical",
                 identical ? 1.0 : 0.0);

@@ -15,8 +15,8 @@
 //    partitioned SpMV keeps each output row's accumulation order intact.
 //  * Nested parallelism runs inline: a task already executing on a pool
 //    worker that calls ParallelFor/TaskGroup gets the serial path. This
-//    makes the primitives safe to use inside BatchQueryEngine tasks
-//    without deadlock or oversubscription.
+//    makes the primitives safe to use inside the panel tasks of a wide
+//    BepiSolver::Solve span without deadlock or oversubscription.
 //  * Fork-safe: a child forked while the pool exists inherits none of its
 //    worker threads, so the child switches to the serial path (the
 //    exact `1`-thread behavior above) instead of waiting on them.

@@ -31,9 +31,9 @@ namespace bepi {
 
 /// Reusable scratch buffers for Gmres, one set per column. A workspace
 /// passed across solves keeps the Krylov bases, Hessenberg matrices and
-/// rotation vectors allocated, so a steady-state query loop
-/// (BatchQueryEngine, bepi_cli query --stats, a serve slot) performs no
-/// per-solve heap allocation beyond the returned solutions. Every buffer
+/// rotation vectors allocated, so a steady-state query loop (bepi_cli
+/// query --stats, a serve slot) performs no per-solve heap allocation
+/// beyond the returned solutions. Every buffer
 /// is (re)sized and overwritten before use — reusing a workspace never
 /// changes results, whatever width the previous call had. Not
 /// thread-safe: use one workspace per concurrent solve.

@@ -272,6 +272,8 @@ TEST_F(KernelTest, SolverQueryBitIdenticalAcrossPathsAndThreads) {
   ASSERT_TRUE(loaded.ok());
   ASSERT_NE(loaded->kernels(), nullptr);
   EXPECT_EQ(loaded->kernels()->path, KernelPath::kCompact);
+  // The reason says where the path came from: the model, not a request.
+  EXPECT_EQ(loaded->kernels()->reason, "model records compact");
   ASSERT_NE(loaded->preconditioner(), nullptr);
   EXPECT_TRUE(loaded->preconditioner()->compact());
   EXPECT_EQ(*loaded->Query(5), baseline);
@@ -282,6 +284,7 @@ TEST_F(KernelTest, SolverQueryBitIdenticalAcrossPathsAndThreads) {
   auto loaded_wide = BepiSolver::Load(in2);
   ASSERT_TRUE(loaded_wide.ok());
   EXPECT_EQ(loaded_wide->kernels()->path, KernelPath::kWide);
+  EXPECT_EQ(loaded_wide->kernels()->reason, "wide requested");
   EXPECT_FALSE(loaded_wide->preconditioner()->compact());
   EXPECT_EQ(*loaded_wide->Query(5), baseline);
 }

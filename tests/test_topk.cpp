@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/faultinject.hpp"
@@ -270,8 +271,9 @@ std::vector<std::string> StageList(const QueryStats& stats) {
 TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
   // Every request shape in one Solve: seeds and personalization vectors,
   // a duplicate seed, an out-of-range seed, an eps top-k, a dense eps item
-  // and a warm-started item. Each result must equal its width-1 call bit
-  // for bit — scores, top-k entries and the report's stage list.
+  // and a warm-started item, in one panel and cycled over several. Each
+  // result must equal its width-1 call bit for bit — scores, top-k entries
+  // and the report's stage list — at 1, 4 and 8 threads.
   const Graph g = test::SmallRmat(300, 1500, 0.2, 23);
   BepiSolver solver{BepiOptions{}};
   ASSERT_TRUE(solver.Preprocess(g).ok());
@@ -296,19 +298,21 @@ TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
       {7, nullptr, {}, dense_eps}, {45, nullptr, {}, warm},
       {0, &q2, exact, {}},         {200, nullptr, {}, {}}};
 
+  // The same shapes cycled to 40: past 16 requests Solve answers balanced
+  // panels as pool tasks, and each answer must still be its width-1 call's.
+  std::vector<QueryRequest> wide;
+  for (std::size_t i = 0; i < 40; ++i) {
+    wide.push_back(requests[i % requests.size()]);
+  }
+
   std::vector<Vector> scores_at_one_thread(requests.size());
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 4, 8}) {
     ASSERT_TRUE(ParallelContext::Global().SetNumThreads(threads).ok());
-    const auto solved = solver.Solve(requests);
-    ASSERT_TRUE(solved.ok());
-    ASSERT_EQ(solved->size(), requests.size());
+    // The width-1 call of each request's shape.
+    std::vector<QueryResult> wants(requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const QueryRequest& r = requests[i];
-      const QueryResult& got = (*solved)[i];
-      SCOPED_TRACE("request " + std::to_string(i) + " threads " +
-                   std::to_string(threads));
-      // The width-1 call of this request's shape.
-      QueryResult want;
+      QueryResult& want = wants[i];
       if (r.personalization != nullptr && r.topk.k > 0) {
         want = solver.Solve({&r, 1}).value().front();
       } else if (r.personalization != nullptr) {
@@ -326,31 +330,46 @@ TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
         want.status = v.status();
         if (v.ok()) want.scores = *v;
       }
-      ASSERT_EQ(got.status.code(), want.status.code());
-      if (!want.status.ok()) continue;
-      EXPECT_EQ(got.scores, want.scores);
-      EXPECT_EQ(got.topk.entries, want.topk.entries);
-      EXPECT_EQ(got.topk.error_bound, want.topk.error_bound);
-      EXPECT_EQ(StageList(got.stats), StageList(want.stats));
-      EXPECT_EQ(got.stats.total_iterations, want.stats.total_iterations);
-      EXPECT_EQ(got.stats.residual, want.stats.residual);
-      EXPECT_EQ(got.stats.error_bound, want.stats.error_bound);
-      if (threads == 1) {
-        scores_at_one_thread[i] = got.scores;
-      } else {
-        EXPECT_EQ(got.scores, scores_at_one_thread[i]);
-      }
     }
-    // Every valid request coalesced: the eps ones with their own
-    // tolerance, the warm-started one with its own initial iterate.
-    EXPECT_TRUE((*solved)[0].coalesced);
-    EXPECT_TRUE((*solved)[2].coalesced);
-    EXPECT_TRUE((*solved)[3].coalesced);
-    EXPECT_TRUE((*solved)[1].coalesced);
-    EXPECT_TRUE((*solved)[5].coalesced);
-    EXPECT_TRUE((*solved)[6].coalesced);
-    EXPECT_TRUE((*solved)[7].coalesced);
-    EXPECT_EQ((*solved)[4].status.code(), StatusCode::kOutOfRange);
+    for (const std::vector<QueryRequest>* span :
+         {&requests, &std::as_const(wide)}) {
+      const auto solved = solver.Solve(*span);
+      ASSERT_TRUE(solved.ok());
+      ASSERT_EQ(solved->size(), span->size());
+      for (std::size_t i = 0; i < span->size(); ++i) {
+        const std::size_t shape = i % requests.size();
+        const QueryResult& got = (*solved)[i];
+        const QueryResult& want = wants[shape];
+        SCOPED_TRACE("request " + std::to_string(i) + " of " +
+                     std::to_string(span->size()) + ", threads " +
+                     std::to_string(threads));
+        ASSERT_EQ(got.status.code(), want.status.code());
+        if (!want.status.ok()) continue;
+        EXPECT_EQ(got.scores, want.scores);
+        EXPECT_EQ(got.topk.entries, want.topk.entries);
+        EXPECT_EQ(got.topk.error_bound, want.topk.error_bound);
+        EXPECT_EQ(StageList(got.stats), StageList(want.stats));
+        EXPECT_EQ(got.stats.total_iterations, want.stats.total_iterations);
+        EXPECT_EQ(got.stats.residual, want.stats.residual);
+        EXPECT_EQ(got.stats.error_bound, want.stats.error_bound);
+        if (threads == 1 && span == &requests) {
+          scores_at_one_thread[shape] = got.scores;
+        } else {
+          EXPECT_EQ(got.scores, scores_at_one_thread[shape]);
+        }
+      }
+      if (span != &requests) continue;
+      // Every valid request coalesced: the eps ones with their own
+      // tolerance, the warm-started one with its own initial iterate.
+      EXPECT_TRUE((*solved)[0].coalesced);
+      EXPECT_TRUE((*solved)[2].coalesced);
+      EXPECT_TRUE((*solved)[3].coalesced);
+      EXPECT_TRUE((*solved)[1].coalesced);
+      EXPECT_TRUE((*solved)[5].coalesced);
+      EXPECT_TRUE((*solved)[6].coalesced);
+      EXPECT_TRUE((*solved)[7].coalesced);
+      EXPECT_EQ((*solved)[4].status.code(), StatusCode::kOutOfRange);
+    }
   }
 
   // One gmres.stagnate hit lands on the first column that reaches the
