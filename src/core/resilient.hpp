@@ -95,11 +95,10 @@ struct SchurColumn {
   /// Request id of the serve request (server/protocol.hpp), attached to
   /// flight-recorder stage-hop events and stage trace spans. May be null.
   const char* request_id = nullptr;
-  /// The restart c*q sliced along [n1 | n2 | n3]: column `cq_column` of
-  /// the panel `cq`. The terminal stages (power, mc) answer the whole
-  /// system H r = c q from it; without it they are skipped.
+  /// The restart c*q sliced along [n1 | n2 | n3], one column. The
+  /// terminal stages (power, mc) answer the whole system H r = c q from
+  /// it; without it they are skipped.
   const SlicedVector* cq = nullptr;
-  index_t cq_column = 0;
 
   /// ok, or why every stage failed (kNotConverged; the power stage's or
   /// walk engine's own error when that ended the chain).
@@ -178,11 +177,11 @@ Result<Vector> GlobalPowerFallback(const DecompositionKernels& kern,
                                    SchurColumn* column);
 
 /// Sup-norm per-score bound of a power-stage answer `r` (full, reordered)
-/// for column j of the restart panel `cq`: the true full-system residual
+/// for the one-column restart `cq`: the true full-system residual
 /// rho = c q - H r through FullSystemScoreBound (core/topk.hpp). The
 /// stage's own scalar residual is not a per-score bound.
 real_t PowerScoreBound(const DecompositionKernels& kern,
-                       const SlicedVector& cq, index_t j, const Vector& r,
+                       const SlicedVector& cq, const Vector& r,
                        real_t restart_prob);
 
 }  // namespace bepi

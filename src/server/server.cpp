@@ -208,8 +208,8 @@ void QueryServer::WorkerLoop(int slot) {
   // park them on this slot, then answer the whole batch — cache hits
   // immediately, the rest through one coalesced Schur solve.
   std::vector<AdmissionJob> jobs;
-  const std::size_t max_batch =
-      static_cast<std::size_t>(std::max(1, options_.batch_max));
+  const std::size_t max_batch = static_cast<std::size_t>(std::clamp(
+      options_.batch_max, 1, static_cast<int>(BepiSolver::kPanelWidth)));
   while (admission_.NextBatch(&jobs, max_batch, options_.batch_window_ms)) {
     const int width = static_cast<int>(jobs.size());
     inflight_.fetch_add(width, std::memory_order_relaxed);

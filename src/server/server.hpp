@@ -85,7 +85,9 @@ struct ServeOptions {
   int cache_mb = 0;
   /// Coalescing scheduler: most queries one worker slot pulls and solves
   /// as a single blocked Schur solve (BepiSolver::Solve). 1 disables
-  /// coalescing entirely (every query solves alone).
+  /// coalescing entirely (every query solves alone); values are clamped
+  /// to [1, BepiSolver::kPanelWidth], so a batch is one Solve panel on
+  /// the slot's workspace.
   int batch_max = 8;
   /// How long a slot that popped one query waits for more to coalesce
   /// with it, in milliseconds. 0 (the default) batches opportunistically:
