@@ -57,8 +57,7 @@ Result<Vector> BearSolver::Solve(index_t seed, const Vector* q,
                                  QueryStats* stats) const {
   Timer timer;
   const index_t n1 = dec_.n1, n2 = dec_.n2, n3 = dec_.n3;
-  SlicedVector r = dec_.Slices(1);
-  dec_.SliceRestart(seed, q, options_.restart_prob, 0, &r);
+  SlicedVector r = dec_.SliceRestart(seed, q, options_.restart_prob);
 
   // Identical block elimination, but r2 = S^{-1} q2~ is a direct product;
   // the restart slices become the back-substitution's right-hand sides.
@@ -80,7 +79,7 @@ Result<Vector> BearSolver::Solve(index_t seed, const Vector* q,
     *stats = QueryStats();
     stats->seconds = timer.Seconds();
   }
-  return Unslice(r, 0, inverse_perm_);
+  return Unslice(r, inverse_perm_);
 }
 
 std::uint64_t BearSolver::PreprocessedBytes() const {
