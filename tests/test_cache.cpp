@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "core/bepi.hpp"
 #include "core/rwr.hpp"
 #include "server/cache.hpp"
@@ -492,6 +493,34 @@ TEST_F(CacheServeTest, CoalescedBatchMatchesScalarServeBitwise) {
   // land well inside the 500 ms window: at worst the first executes solo
   // and the remaining five coalesce.
   EXPECT_GE(coalesced_responses, 2) << "batching never engaged";
+}
+
+TEST_F(CacheServeTest, BatchMaxIsClampedToOneSolvePanel) {
+  // A batch is one Solve panel on its slot's workspace, so batch_max above
+  // BepiSolver::kPanelWidth is clamped: twenty queued queries inside one
+  // window never form a batch of twenty.
+  ServeOptions options;
+  options.slots = 1;
+  options.batch_max = 32;
+  options.batch_window_ms = 500.0;
+  std::vector<std::string> requests;
+  for (int i = 0; i < 20; ++i) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  R"({"op":"query","id":%d,"seed":%d,"top_k":3})", i + 1, i);
+    requests.push_back(buf);
+  }
+  Histogram* widths =
+      MetricsRegistry::Global().GetHistogram("server.batch_width");
+  widths->Reset();
+  const auto lines = Serve(requests, options);
+  ASSERT_EQ(lines.size(), requests.size());
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  }
+  const HistogramSnapshot snap = widths->Snapshot();
+  EXPECT_LE(snap.max, static_cast<double>(BepiSolver::kPanelWidth));
+  EXPECT_GT(snap.max, 1.0) << "batching never engaged";
 }
 
 // --- Top-k query mode on the serve path --------------------------------
