@@ -1,9 +1,8 @@
-// Top-k query modes (ROADMAP item 2): latency and streamed bytes of the
-// pruned back-substitution against the dense solve-then-sort baseline
-// across a k sweep, the eps-mode bound's honesty margin, and the MC warm
-// start's iteration savings. Exact-mode answers are compared entry by
-// entry against TopK(full solve) — any mismatch is a bench failure, the
-// same contract ci.sh smoke_topk enforces with cmp.
+// Top-k query modes: latency of QueryTopK against the caller-side
+// Query + TopK across a k sweep, the eps-mode bound's honesty margin, and
+// the MC warm start's iteration savings. Exact-mode answers are compared
+// entry by entry against TopK(full solve) — any mismatch is a bench
+// failure, the same contract ci.sh smoke_topk enforces with cmp.
 //
 // Usage: bench_topk [--scale=1.0] [--queries=3] [--threads=N]
 //        [--json-out=BENCH_topk.json]
@@ -20,11 +19,10 @@ int main(int argc, char** argv) {
   using namespace bepi;
   Flags flags = Flags::Parse(argc, argv);
   bench::BenchConfig config = bench::BenchConfig::FromFlags(flags);
-  bench::PrintBanner("Top-k pruned back-substitution", config);
+  bench::PrintBanner("Top-k queries", config);
   bench::BenchJsonWriter json("topk");
 
-  Table table({"dataset", "k", "pruned ms", "dense ms", "bytes", "dense bytes",
-               "byte redux", "exact", "eps bound"});
+  Table table({"dataset", "k", "top-k ms", "dense ms", "exact", "eps bound"});
   for (const DatasetSpec& spec : PaperDatasets()) {
     Graph g = bench::LoadDataset(spec, config);
 
@@ -34,11 +32,6 @@ int main(int argc, char** argv) {
     BepiSolver solver(options);
     auto pre = solver.Preprocess(g);
     BEPI_CHECK_MSG(pre.ok(), pre.ToString().c_str());
-    const bool compact =
-        solver.kernels() != nullptr &&
-        solver.kernels()->path == KernelPath::kCompact;
-    const std::uint64_t dense_bytes =
-        DenseBackSubstitutionBytes(*solver.kernels(), compact);
 
     for (const index_t k_raw : {index_t{1}, index_t{10}, index_t{100}}) {
       const index_t k = std::min<index_t>(k_raw, g.num_nodes());
@@ -46,18 +39,15 @@ int main(int argc, char** argv) {
       opts.k = k;
 
       Rng rng(config.seed);
-      double pruned_seconds = 0.0, dense_seconds = 0.0;
-      double bytes_touched = 0.0, eps_bound = 0.0;
-      bool exact = true, pruned = true;
+      double topk_seconds = 0.0, dense_seconds = 0.0, eps_bound = 0.0;
+      bool exact = true;
       for (index_t i = 0; i < config.num_queries; ++i) {
         const index_t node = rng.UniformIndex(0, g.num_nodes() - 1);
 
-        Timer pruned_timer;
+        Timer topk_timer;
         auto tk = solver.QueryTopK(node, opts);
         BEPI_CHECK_MSG(tk.ok(), tk.status().ToString().c_str());
-        pruned_seconds += pruned_timer.Seconds();
-        bytes_touched += static_cast<double>(tk->bytes_touched);
-        if (!tk->pruned) pruned = false;
+        topk_seconds += topk_timer.Seconds();
 
         Timer dense_timer;
         auto scores = solver.Query(node);
@@ -81,32 +71,19 @@ int main(int argc, char** argv) {
         eps_bound = std::max(eps_bound,
                              static_cast<double>(etk->error_bound));
       }
-      BEPI_CHECK_MSG(exact, "pruned top-k diverged from dense solve + sort");
+      BEPI_CHECK_MSG(exact, "top-k diverged from dense solve + sort");
 
       const double q = static_cast<double>(config.num_queries);
-      const double avg_bytes = bytes_touched / q;
-      const double reduction = avg_bytes > 0.0
-                                   ? static_cast<double>(dense_bytes) /
-                                         avg_bytes
-                                   : 0.0;
       const std::string method = "k=" + std::to_string(k);
-      json.Add(spec.name, method, "pruned_ms", pruned_seconds / q * 1e3);
+      json.Add(spec.name, method, "topk_ms", topk_seconds / q * 1e3);
       json.Add(spec.name, method, "dense_ms", dense_seconds / q * 1e3);
-      json.Add(spec.name, method, "bytes_touched", avg_bytes);
-      json.Add(spec.name, method, "dense_bytes",
-               static_cast<double>(dense_bytes));
-      json.Add(spec.name, method, "byte_reduction", reduction);
       json.Add(spec.name, method, "exact_match", exact ? 1.0 : 0.0);
-      json.Add(spec.name, method, "pruned_path", pruned ? 1.0 : 0.0);
       json.Add(spec.name, method, "eps_bound", eps_bound);
 
       table.AddRow({spec.name, Table::IntGrouped(k),
-                    Table::Num(pruned_seconds / q * 1e3),
+                    Table::Num(topk_seconds / q * 1e3),
                     Table::Num(dense_seconds / q * 1e3),
-                    Table::IntGrouped(static_cast<index_t>(avg_bytes)),
-                    Table::IntGrouped(static_cast<index_t>(dense_bytes)),
-                    Table::Num(reduction), exact ? "yes" : "NO",
-                    Table::Num(eps_bound)});
+                    exact ? "yes" : "NO", Table::Num(eps_bound)});
     }
 
     // MC warm start (--warm-start=mc): seed the Schur solve's initial
@@ -151,10 +128,10 @@ int main(int argc, char** argv) {
   }
   table.Print();
   std::printf(
-      "\nExpected shape: bytes_touched well below the dense baseline at\n"
-      "small k (the byte-reduction floor ci.sh asserts), exact matches on\n"
-      "every row, and eps bounds at the 1e-4 tolerance scale. Warm starts\n"
-      "trade bit-identity for fewer inner iterations.\n");
+      "\nExpected shape: top-k ms close to dense ms (one solve, ranked in\n"
+      "the solver or by the caller), exact matches on every row, and eps\n"
+      "bounds at the 1e-4 tolerance scale. Warm starts trade bit-identity\n"
+      "for fewer inner iterations.\n");
   json.WriteIfRequested(flags);
   return 0;
 }

@@ -139,11 +139,10 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
 
 void BepiSolver::Publish() {
   inverse_perm_ = InversePermutation(dec_.perm);
-  // Bound tables for top-k pruning and eps error propagation: one O(nnz)
-  // pass over the back-substitution matrices, negligible next to the
-  // decomposition itself and valid until the matrices change.
-  topk_tables_ = std::make_unique<TopKBoundTables>(
-      BuildTopKBoundTables(dec_, *kernels_));
+  // The eps bound's coefficients: one O(nnz) pass over the
+  // back-substitution matrices, block by spoke block, negligible next to
+  // the decomposition itself and valid until the matrices change.
+  score_bound_ = BuildScoreBoundCoefficients(dec_, *kernels_);
   BEPI_LOG(Info) << "kernel path " << KernelPathName(kernels_->path) << " ("
                  << kernels_->reason << ")";
   if (MetricsEnabled()) {
@@ -291,39 +290,17 @@ Vector BepiSolver::SchurRhs(const SlicedVector& cq) const {
   return q2_tilde;
 }
 
-void BepiSolver::BackSubstitute(
-    const std::vector<const QueryRequest*>& requests,
-    std::vector<SlicedVector> cq, std::vector<Vector> r2,
-    const std::vector<real_t>& bounds,
-    const std::vector<QueryResult*>& outs) const {
+void BepiSolver::BackSubstitute(std::vector<SlicedVector> cq,
+                                std::vector<Vector> r2,
+                                const std::vector<QueryResult*>& outs) const {
   const DecompositionKernels& kern = *kernels_;
   const index_t n1 = dec_.n1, n2 = dec_.n2, n3 = dec_.n3;
-  std::vector<std::size_t> dense;
-  for (std::size_t j = 0; j < requests.size(); ++j) {
-    const QueryRequest& request = *requests[j];
-    if (request.topk.k == 0) {
-      dense.push_back(j);
-      continue;
-    }
-    // Pruned top-k back-substitution: valid for ANY Schur iterate the
-    // chain returns (whichever stage produced it, converged or partial),
-    // because the dense path would back-substitute the very same r2 — the
-    // pruning bounds only have to contain that dense result.
-    TraceSpan topk_span("query.topk_backsub");
-    TopKResult& topk = outs[j]->topk;
-    topk = PrunedTopK(dec_, kern, *topk_tables_, inverse_perm_, cq[j].v1,
-                      cq[j].v3, r2[j], bounds[j], request.topk);
-    topk_span.Arg("candidates", topk.candidates);
-    topk_span.Arg("pruned_rows", topk.pruned_rows);
-  }
-  if (dense.empty()) return;
-
   // r1 = U1^{-1} (L1^{-1} (c q1 - H12 r2)),  r3 = c q3 - H31 r1 - H32 r2
-  // (lines 5-6) over the dense columns as one panel; the restart slices
-  // become r1's right-hand side and r3 in place.
-  const index_t kd = static_cast<index_t>(dense.size());
+  // (lines 5-6) over every column as one panel, top-k ones included; the
+  // restart slices become r1's right-hand side and r3 in place.
+  const index_t kd = static_cast<index_t>(outs.size());
   std::vector<Vector*> r2s, v1s, v3s;
-  for (std::size_t j : dense) {
+  for (std::size_t j = 0; j < outs.size(); ++j) {
     r2s.push_back(&r2[j]);
     v1s.push_back(&cq[j].v1);
     v3s.push_back(&cq[j].v3);
@@ -342,12 +319,12 @@ void BepiSolver::BackSubstitute(
     }
   }
   if (kd == 1) {
-    outs[dense.front()]->scores = Unslice(r, inverse_perm_);
+    outs.front()->scores = Unslice(r, inverse_perm_);
     return;
   }
   std::vector<Vector> scores = UnsliceAll(r, dec_.perm);
   for (std::size_t q = 0; q < scores.size(); ++q) {
-    outs[dense[q]]->scores = std::move(scores[q]);
+    outs[q]->scores = std::move(scores[q]);
   }
 }
 
@@ -358,16 +335,18 @@ void BepiSolver::Finish(const QueryRequest& request, QueryReport report,
     BEPI_METRIC_COUNTER(queries, "query.count");
     BEPI_METRIC_COUNTER(hops, "query.fallback_hops");
     BEPI_METRIC_HISTOGRAM(latency, "query.latency_seconds");
-    // Registered outside the conditional so the key exists in every
+    // Registered outside the conditionals so the keys exist in every
     // instrumented snapshot (the docs glossary cross-check relies on a
     // deterministic key set).
     BEPI_METRIC_COUNTER(cancelled, "query.cancelled");
+    BEPI_METRIC_COUNTER(topk_queries, "topk.queries");
     queries->Increment();
     hops->Increment(static_cast<std::uint64_t>(report.fallback_hops()));
     latency->RecordAlways(seconds);
     if (report.final_outcome == SolveOutcome::kCancelled) {
       cancelled->Increment();
     }
+    if (request.topk.k > 0) topk_queries->Increment();
   }
   QueryStats& stats = out->stats;
   stats.seconds = seconds;
@@ -382,16 +361,6 @@ void BepiSolver::Finish(const QueryRequest& request, QueryReport report,
     stats.error_bound = error_bound;
   }
   stats.report = std::move(report);
-  if (out->status.ok() && request.topk.k > 0 && !out->topk.pruned) {
-    // A terminal stage (power iteration, MC walks) built the full vector:
-    // sort it the way the dense caller would, with the producing attempt's
-    // residual / confidence half-width as the honest bound.
-    out->topk.entries = TopK(out->scores, request.topk.k, request.topk.exclude);
-    out->topk.error_bound =
-        stats.error_bound > 0.0 ? stats.error_bound : stats.residual;
-    out->scores.clear();
-    CountTopKDenseFallback();
-  }
 }
 
 Result<std::vector<QueryResult>> BepiSolver::Solve(
@@ -422,26 +391,15 @@ Result<std::vector<QueryResult>> BepiSolver::Solve(
     GmresWorkspace run_workspace;
     for (index_t p = first; p < last; ++p) {
       const std::size_t panel = static_cast<std::size_t>(p);
-      // A request whose token has already expired is answered before
-      // any of its work, so the rest of a span costs nothing once its
-      // deadline passes or ^C arrives.
-      std::vector<QueryRequest> live;
-      std::vector<std::size_t> where;
-      for (std::size_t i = panel * k / panels; i < (panel + 1) * k / panels;
-           ++i) {
-        if (AnswerExpired(requests[i], &results[i])) continue;
-        live.push_back(requests[i]);
-        where.push_back(i);
-      }
+      const std::size_t begin = panel * k / panels;
+      const std::size_t end = (panel + 1) * k / panels;
       Result<std::vector<QueryResult>> solved =
-          SolvePanel(live, &run_workspace);
+          SolvePanel(requests.subspan(begin, end - begin), &run_workspace);
       if (!solved.ok()) {
         errors[panel] = solved.status();
         continue;
       }
-      for (std::size_t q = 0; q < where.size(); ++q) {
-        results[where[q]] = std::move((*solved)[q]);
-      }
+      std::move(solved->begin(), solved->end(), results.begin() + begin);
     }
   });
   for (const Status& error : errors) BEPI_RETURN_IF_ERROR(error);
@@ -454,6 +412,10 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
   std::vector<const QueryRequest*> valid;
   std::vector<QueryResult*> outs;
   for (std::size_t i = 0; i < requests.size(); ++i) {
+    // A request whose token has already expired is answered before any of
+    // its work, so the rest of a span costs nothing once its deadline
+    // passes or ^C arrives.
+    if (AnswerExpired(requests[i], &results[i])) continue;
     results[i].status = Validate(requests[i]);
     if (!results[i].status.ok()) continue;
     valid.push_back(&requests[i]);
@@ -508,8 +470,7 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
 
   // Each column's verdict. Those holding a Schur iterate back-substitute
   // together; a terminal stage's full vector needs no back-substitution.
-  std::vector<real_t> error_bounds(k, 0.0), topk_bounds;
-  std::vector<const QueryRequest*> solved;
+  std::vector<real_t> error_bounds(k, 0.0);
   std::vector<QueryResult*> solved_outs;
   std::vector<SlicedVector> solved_cq;
   std::vector<Vector> r2;
@@ -520,6 +481,7 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
     QueryResult& out = *outs[j];
     out.coalesced = c.coalesced;
     const real_t eps = RequestEps(request);
+    const bool ranked = request.topk.k > 0;
     const bool expired = c.status.code() == StatusCode::kCancelled ||
                          c.status.code() == StatusCode::kDeadlineExceeded;
     const bool cancelled = c.report.final_outcome == SolveOutcome::kCancelled;
@@ -537,11 +499,15 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
       // when one was asked for — the MC half-width already is a
       // per-coordinate bound, the power residual is not.
       const SolveAttempt& producing = c.report.attempts.back();
-      if (eps > 0.0 || request.topk.k > 0) {
+      if (eps > 0.0 || ranked) {
         error_bounds[j] =
             producing.stage == "power"
                 ? PowerScoreBound(*kernels_, cq[j], c.x, options_.restart_prob)
                 : producing.residual;
+      }
+      if (ranked) {
+        out.topk.error_bound =
+            error_bounds[j] > 0.0 ? error_bounds[j] : producing.residual;
       }
       out.scores =
           Unslice(SlicedVector{1, std::move(c.x), {}, {}}, inverse_perm_);
@@ -550,20 +516,28 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
       // actually hands to back-substitution, partial iterates included; an
       // exact-mode partial top-k reports the same residual-derived bound.
       if (eps > 0.0) error_bounds[j] = EpsErrorBound(*c.b, c.x);
-      topk_bounds.push_back(error_bounds[j] == 0.0 && request.topk.k > 0 &&
-                                    cancelled
-                                ? EpsErrorBound(*c.b, c.x)
-                                : error_bounds[j]);
-      solved.push_back(&request);
+      if (ranked) {
+        out.topk.error_bound = error_bounds[j] == 0.0 && cancelled
+                                   ? EpsErrorBound(*c.b, c.x)
+                                   : error_bounds[j];
+      }
       solved_outs.push_back(&out);
       solved_cq.push_back(std::move(cq[j]));
       r2.push_back(std::move(c.x));
     }
   }
-  if (!solved.empty()) {
+  if (!solved_outs.empty()) {
     // Lines 5-7 over the Krylov-answered columns.
-    BackSubstitute(solved, std::move(solved_cq), std::move(r2), topk_bounds,
-                   solved_outs);
+    BackSubstitute(std::move(solved_cq), std::move(r2), solved_outs);
+  }
+  // A top-k request ranks its full vector and keeps only the ranking.
+  for (std::size_t j = 0; j < k; ++j) {
+    const TopKOptions& topk = valid[j]->topk;
+    QueryResult& out = *outs[j];
+    if (topk.k == 0 || !out.status.ok()) continue;
+    TraceSpan topk_span("query.topk");
+    out.topk.entries = TopK(out.scores, topk.k, topk.exclude);
+    Vector().swap(out.scores);
   }
   if (k == 1) {
     // A single query's span carries its own trace context and chain.
@@ -594,7 +568,7 @@ real_t BepiSolver::EpsErrorBound(const Vector& q2_tilde,
   kernels_->schur.ResidualInto(r2, q2_tilde, &rho);
   real_t norm1 = 0.0;
   for (real_t v : rho) norm1 += std::abs(v);
-  return ScoreErrorBound(*topk_tables_, norm1, options_.restart_prob);
+  return ScoreErrorBound(score_bound_, norm1, options_.restart_prob);
 }
 
 bool BepiSolver::McWarmStart(const QueryControl& control,
@@ -791,7 +765,8 @@ Status BepiSolver::Save(std::ostream& out) const {
     kernel.U64(kernels_->path == KernelPath::kCompact ? 1 : 0);
     BEPI_RETURN_IF_ERROR(writer.Add("kernel", kernel.bytes()));
   }
-  // Spoke block layout for the top-k pruning tables (core/topk.hpp).
+  // Spoke block layout, which the eps bound's coefficients are taken over
+  // (core/topk.hpp).
   BEPI_RETURN_IF_ERROR(writer.Add("blocks", EncodeBlocks(dec_)));
   BEPI_RETURN_IF_ERROR(writer.Finish());
   if (!out) return Status::IoError("failed writing BePI model stream");
@@ -922,7 +897,7 @@ Result<BepiSolver> BepiSolver::Load(std::shared_ptr<const AlignedBytes> bytes) {
   }
 
   // Bind: the kernel path (the model's own unless --kernel/BEPI_KERNEL
-  // forces one), the inverse permutation and the top-k tables.
+  // forces one), the inverse permutation and the eps bound's coefficients.
   stage.emplace(LoadStep::kBind);
   const KernelPath forced = GlobalKernelPath();
   solver.kernels_ =

@@ -62,8 +62,9 @@ struct BepiOptions : RwrOptions {
 /// Per-query runtime controls (deadline/cancellation), as opposed to the
 /// numeric configuration in BepiOptions. A default-constructed control is
 /// inert, and a null/never-expiring token leaves the solve bit-identical
-/// to an uncontrolled one — the token is only *polled* at restart-cycle
-/// and power-iteration boundaries, never consulted by the numerics.
+/// to an uncontrolled one — the token is only *polled*, before the solve
+/// and at restart-cycle and power-iteration boundaries, never consulted
+/// by the numerics.
 struct QueryControl {
   /// Cooperative cancellation/deadline. May be null. Not owned; must
   /// outlive the query.
@@ -189,34 +190,34 @@ class BepiSolver final : public RwrSolver {
   /// streams S once per step for all of them (sparse/kernel.hpp SpMM
   /// panels) — the bandwidth amortization the serve batcher
   /// (server/server.hpp) is built on — and the columns a Krylov stage
-  /// answered back-substitute as one panel. Each result is bit-identical
-  /// to the same request solved alone; QueryResult::coalesced marks the
-  /// ones whose answering GMRES stage ran two or more columns. The
-  /// returned Status covers batch-level preconditions only; per-request
-  /// failures land in each QueryResult::status, with stats.
+  /// answered back-substitute as one panel, top-k ones included; a top-k
+  /// request then ranks its vector with TopK and returns only the ranking.
+  /// Each result is bit-identical to the same request solved alone;
+  /// QueryResult::coalesced marks the ones whose answering GMRES stage ran
+  /// two or more columns. The returned Status covers batch-level
+  /// preconditions only; per-request failures land in each
+  /// QueryResult::status, with stats.
   ///
-  /// A span of more than kPanelWidth requests is answered as balanced
-  /// panels of at most kPanelWidth, each pool worker (common/
+  /// A request whose token has already expired when its panel starts, and
+  /// that takes no partial result, is answered with the token's Status and
+  /// outcome kCancelled without being validated or solved, at any span
+  /// width. A span of more than kPanelWidth requests is answered as
+  /// balanced panels of at most kPanelWidth, each pool worker (common/
   /// parallel.hpp) taking a contiguous run of them on one workspace, so a
   /// wide span spreads over the cores; `workspace` serves only a span of
-  /// up to kPanelWidth. A request whose token has already expired when its panel
-  /// starts, and that takes no partial result, is answered with the
-  /// token's Status and outcome kCancelled without being solved. A
-  /// request's stats.seconds is its panel's wall time, `coalesced` refers
-  /// to its panel, and the first batch-level error in span order is
-  /// returned.
+  /// up to kPanelWidth. A request's stats.seconds is its panel's wall
+  /// time, `coalesced` refers to its panel, and the first batch-level
+  /// error in span order is returned.
   Result<std::vector<QueryResult>> Solve(
       std::span<const QueryRequest> requests,
       GmresWorkspace* workspace = nullptr) const;
-  /// Top-k query (core/topk.hpp): a converged Schur solve followed by
-  /// pruned back-substitution that touches only rows which could enter the
-  /// top k. Exact mode returns entries byte-identical to
-  /// TopK(Query(seed), k, opts.exclude); eps mode stops the Schur solve at
-  /// opts.eps and reports the honest per-score bound in
-  /// TopKResult::error_bound (mirrored into stats->error_bound). When a
-  /// terminal stage of the chain (power, MC) answers with the full vector
-  /// the query still answers — that vector is sorted instead, with the
-  /// producing attempt's honest bound and TopKResult::pruned == false.
+  /// Top-k query (core/topk.hpp): the dense query ranked by TopK. Exact
+  /// mode returns entries byte-identical to TopK(Query(seed), k,
+  /// opts.exclude); eps mode stops the Schur solve at opts.eps and reports
+  /// the honest per-score bound in TopKResult::error_bound (mirrored into
+  /// stats->error_bound). When a terminal stage of the chain (power, MC)
+  /// answers, its vector is ranked with the producing attempt's honest
+  /// bound.
   Result<TopKResult> QueryTopK(index_t seed, const TopKOptions& opts,
                                QueryStats* stats = nullptr,
                                GmresWorkspace* workspace = nullptr,
@@ -275,8 +276,8 @@ class BepiSolver final : public RwrSolver {
   ///            bytes, alignment and zero pads, CSR structure and shapes,
   ///            the permutation and block tiling, the ILU(0) diagonal
   ///            and pivots;
-  ///   bind     the inverse permutation, the top-k bound tables and the
-  ///            kernel views.
+  ///   bind     the inverse permutation, the eps bound's coefficients
+  ///            and the kernel views.
   /// The query path then reads the matrices and ILU(0) factor values from
   /// the loaded bytes themselves: nothing is copied unless --kernel forces
   /// an index width the file does not store. A model of format v1-v6 is
@@ -299,16 +300,12 @@ class BepiSolver final : public RwrSolver {
   /// q2~ = c q2 - H21 (U1^{-1} (L1^{-1} (c q1)))  (line 3).
   Vector SchurRhs(const SlicedVector& cq) const;
   /// Lines 5-7 for columns holding a Schur iterate r2[j], with restart
-  /// cq[j]: pruned top-k into outs[j]->topk (with score bound bounds[j])
-  /// for top-k requests, panel (or, for one column, vector)
-  /// back-substitution and reassembly into outs[j]->scores for dense ones.
-  void BackSubstitute(const std::vector<const QueryRequest*>& requests,
-                      std::vector<SlicedVector> cq, std::vector<Vector> r2,
-                      const std::vector<real_t>& bounds,
+  /// cq[j]: panel (or, for one column, vector) back-substitution and
+  /// reassembly into outs[j]->scores.
+  void BackSubstitute(std::vector<SlicedVector> cq, std::vector<Vector> r2,
                       const std::vector<QueryResult*>& outs) const;
-  /// The tail of a solved request: stats (with `error_bound`) and — when
-  /// out->status is ok — metrics and the sorted dense fallback of a top-k
-  /// request that a terminal stage answered with the full vector.
+  /// The tail of a solved request: stats (with `error_bound`) and, when
+  /// out->status is ok, metrics.
   void Finish(const QueryRequest& request, QueryReport report, double seconds,
               real_t error_bound, QueryResult* out) const;
   /// Eps-mode epilogue: computes the true Schur residual of `r2` against
@@ -322,8 +319,9 @@ class BepiSolver final : public RwrSolver {
                    Vector* x0) const;
 
   /// The tail of Preprocess and of every Load: inverts the permutation,
-  /// builds the top-k bound tables over the bound views, and publishes
-  /// the kernel path (log line and model.kernel_path gauge).
+  /// computes the eps bound's coefficients over the bound views and the
+  /// spoke block layout, and publishes the kernel path (log line and
+  /// model.kernel_path gauge).
   void Publish();
 
   BepiOptions options_;
@@ -335,9 +333,9 @@ class BepiSolver final : public RwrSolver {
   /// The query-phase matrices as views (owned after Preprocess, borrowed
   /// from the model bytes after Load).
   std::unique_ptr<DecompositionKernels> kernels_;
-  /// Absolute-row-sum tables for top-k pruning and eps error bounds
-  /// (core/topk.hpp); built by Publish.
-  std::unique_ptr<TopKBoundTables> topk_tables_;
+  /// The back-substitution's error amplification for eps and partial
+  /// answers (core/topk.hpp); computed by Publish.
+  ScoreBoundCoefficients score_bound_;
   Permutation inverse_perm_;  // new -> old
   BepiPreprocessInfo info_;
   bool preprocessed_ = false;

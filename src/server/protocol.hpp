@@ -5,19 +5,20 @@
 //   {"op":"query","seed":3}                                  minimal
 //   {"op":"query","id":"a1","request_id":"r-7","seed":3,"topk":5,
 //    "deadline_ms":50,"allow_partial":true,"scores":true}    everything
-//   {"op":"query","seed":3,"top_k":10}                       pruned top-k
+//   {"op":"query","seed":3,"top_k":10}                       top-k
 //   {"op":"query","seed":3,"top_k":10,"mode":"eps",
 //    "eps":1e-6}                                             bounded-error
 //   {"op":"health"}   {"op":"stats"}                         probes
 //   {"op":"metrics"}  {"op":"dump"}                          observability
 //
 // "topk" (render count) truncates the ranking attached to a full solve;
-// "top_k" (query mode) routes the request through the pruned
-// back-substitution top-k engine instead — the response's "topk" array
-// then holds exactly k sorted [node,score] pairs, plus "mode" and (for
-// mode "eps") a per-score error "bound". "top_k" is incompatible with
-// "scores":true (the pruned path never materializes the full vector) and
-// with "topk". "mode":"eps" requires "eps" (finite, > 0) and vice versa.
+// "top_k" (query mode) makes the ranking the deliverable instead — the
+// solver ranks the full solve and keeps only the ranking, and the
+// response's "topk" array holds exactly k sorted [node,score] pairs, plus
+// "mode" and (for mode "eps") a per-score error "bound". "top_k" is
+// incompatible with "scores":true (a top-k answer carries no score
+// vector) and with "topk". "mode":"eps" requires "eps" (finite, > 0) and
+// vice versa.
 //
 // "request_id" is the trace context: client-supplied (or minted by the
 // server when absent), echoed in the response, threaded through
@@ -97,7 +98,7 @@ struct Request {
   index_t seed = 0;
   index_t topk = 10;
   /// Top-k query mode ("top_k" key): 0 = dense solve (default); >= 1
-  /// routes through the pruned top-k engine. The parser enforces
+  /// answers with the top_k best nodes alone. The parser enforces
   /// [1, 1e9]; the server additionally rejects top_k > n.
   index_t top_k = 0;
   /// "mode":"eps" — stop the Schur solve at `eps` and report a per-score

@@ -206,7 +206,7 @@ real_t SpmvDot(const P* row_ptr, const I* col_idx, const real_t* values,
 
 /// Row-major panel SpMM: for each row, each column j of the chunk keeps
 /// its own accumulator and adds values[p] * x[col_idx[p]*k + j] in p
-/// order — the exact addition sequence RowDot performs for that column —
+/// order — the exact addition sequence RowDotT performs for that column —
 /// before the single store (SpmmInto) or fused alpha-add (SpmmAdd).
 template <typename P, typename I>
 void SpmmInto(const P* row_ptr, const I* col_idx, const real_t* values,
@@ -442,12 +442,6 @@ KernelCsr KernelCsr::WithPath(KernelPath requested) const {
   });
   k.width_ = want_compact ? sizeof(std::uint32_t) : sizeof(index_t);
   return k;
-}
-
-real_t KernelCsr::RowDot(index_t r, const real_t* x) const {
-  return Visit([&](const auto* rp, const auto* ci) {
-    return RowDotT(rp, ci, values_, x, r);
-  });
 }
 
 CsrMatrix KernelCsr::ToCsr() const {

@@ -114,18 +114,6 @@ class KernelCsr {
               static_cast<const index_t*>(col_idx_));
   }
 
-  index_t RowNnz(index_t r) const {
-    return compact() ? static_cast<const std::uint32_t*>(row_ptr_)[r + 1] -
-                           static_cast<const std::uint32_t*>(row_ptr_)[r]
-                     : static_cast<const index_t*>(row_ptr_)[r + 1] -
-                           static_cast<const index_t*>(row_ptr_)[r];
-  }
-
-  /// Row r dotted with x, in the accumulation order every kernel below
-  /// uses for that row (so a single row recomputed elsewhere — the pruned
-  /// top-k back-substitution — is bit-identical to the dense result).
-  real_t RowDot(index_t r, const real_t* x) const;
-
   /// The view as a builder matrix (64-bit copies).
   CsrMatrix ToCsr() const;
 
@@ -160,8 +148,9 @@ class KernelCsr {
   /// is streamed ONCE for all k columns — the whole point: amortizing the
   /// bandwidth-bound index/value traffic that a per-column SpMV loop pays
   /// k times. Each output column accumulates its per-row sum in exactly
-  /// the order RowDot uses, so column j of the panel is bit-identical to
-  /// MultiplyInto run on column j alone, at any k and any thread count.
+  /// the order MultiplyInto uses for that row, so column j of the panel is
+  /// bit-identical to MultiplyInto run on column j alone, at any k and any
+  /// thread count.
   void MultiplyMulti(const real_t* x, index_t k, real_t* y) const;
 
   /// Panel form of MultiplyAdd: Y += alpha * A X. Per-column arithmetic

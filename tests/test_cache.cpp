@@ -526,8 +526,8 @@ TEST_F(CacheServeTest, BatchMaxIsClampedToOneSolvePanel) {
 // --- Top-k query mode on the serve path --------------------------------
 
 TEST_F(CacheServeTest, TopKModeMatchesDenseRenderingBitwise) {
-  // A top_k request's pruned answer must render byte-for-byte the same
-  // "topk" array a dense solve's TopK rendering produces for the same k.
+  // A top_k request's answer must render byte-for-byte the same "topk"
+  // array a dense solve's TopK rendering produces for the same k.
   ServeOptions options;
   options.slots = 1;
   options.batch_max = 1;
@@ -566,7 +566,7 @@ TEST_F(CacheServeTest, EpsTopKCarriesModeAndBound) {
 TEST_F(CacheServeTest, ExactTopKServedFromCache) {
   // A dense solve populates the cache; a later exact top_k request for
   // the same seed is answered from it ("stage":"cache") with the same
-  // pairs a cold pruned query returns.
+  // pairs a cold top_k query returns.
   ServeOptions options;
   options.slots = 1;
   options.batch_max = 1;
@@ -590,7 +590,7 @@ TEST_F(CacheServeTest, ExactTopKServedFromCache) {
   const ServerStatsSnapshot snap = server.Stats();
   EXPECT_EQ(snap.cache_hits, 1u);
 
-  // Cold pruned reference (no cache): identical pairs, byte-for-byte.
+  // Cold top_k reference (no cache): identical pairs, byte-for-byte.
   ServeOptions cold_opts;
   cold_opts.slots = 1;
   cold_opts.batch_max = 1;

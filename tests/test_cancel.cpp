@@ -179,6 +179,41 @@ TEST_F(CancelSolve, BatchFailsAllOrNothingOnExpiredToken) {
   }
 }
 
+TEST_F(CancelSolve, ExpiredTokenCancelsZeroRhsSeedAtAnySpanWidth) {
+  // A deadend seed's Schur right-hand side is zero, so its solve finishes
+  // without ever polling the token. An expired token must still answer it
+  // Cancelled, alone as inside a span wider than one panel: the answer
+  // may not depend on the span width.
+  const HubSpokeDecomposition& dec = solver_->decomposition();
+  index_t deadend = -1;
+  for (index_t v = 0; v < dec.n && deadend < 0; ++v) {
+    if (dec.perm[static_cast<std::size_t>(v)] >= dec.n1 + dec.n2) deadend = v;
+  }
+  ASSERT_GE(deadend, 0) << "graph must have a deadend";
+  QueryStats clean;
+  ASSERT_TRUE(solver_->Query(deadend, &clean).ok());
+  ASSERT_EQ(clean.total_iterations, 0);
+
+  CancelToken token;
+  token.Cancel();
+  QueryControl control;
+  control.cancel = &token;
+  QueryStats stats;
+  auto r = solver_->Query(deadend, &stats, nullptr, control);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(stats.outcome, SolveOutcome::kCancelled);
+
+  std::vector<QueryRequest> requests = Span(40, &token);
+  for (QueryRequest& request : requests) request.seed = deadend;
+  auto solved = solver_->Solve(requests);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  for (const QueryResult& result : *solved) {
+    EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
+    EXPECT_EQ(result.stats.outcome, SolveOutcome::kCancelled);
+  }
+}
+
 // --- deadline x linked-flag interaction across a wide Solve span -------
 //
 // A serving batch typically carries a token wearing BOTH a per-request

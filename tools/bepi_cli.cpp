@@ -127,18 +127,15 @@ const CommandHelp kCommands[] = {
      "  --topk=K           ranking length of a single-seed dense query\n"
      "                     (default 10)\n"
      "  --top-k=K          top-k QUERY mode: answer with the k best nodes\n"
-     "                     via pruned back-substitution instead of a full\n"
-     "                     vector. Exact by default (scores byte-identical\n"
-     "                     to sorting a --dump-scores solve); add --eps=E\n"
-     "                     for the bounded-error mode (the Schur solve\n"
-     "                     stops at E and the answer carries an explicit\n"
-     "                     per-score error bound)\n"
-     "  --topk-via=V       pruned (default) or dense: dense forces the\n"
-     "                     full-solve + sort baseline — CI cmps its\n"
-     "                     --dump-topk file against the pruned one\n"
+     "                     of the full solve instead of the vector. Exact\n"
+     "                     by default (scores byte-identical to sorting a\n"
+     "                     --dump-scores solve); add --eps=E for the\n"
+     "                     bounded-error mode (the Schur solve stops at E\n"
+     "                     and the answer carries an explicit per-score\n"
+     "                     error bound)\n"
      "  --dump-topk=FILE   write the ranking as 'node score' lines at full\n"
-     "                     precision (byte-comparable across --topk-via,\n"
-     "                     --kernel and --threads)\n"
+     "                     precision (byte-comparable across --kernel and\n"
+     "                     --threads)\n"
      "  --warm-start=mc    seed the Schur solve from a cheap Monte-Carlo\n"
      "                     estimate (needs --graph; off by default — a\n"
      "                     warm start changes the iterate sequence, so\n"
@@ -232,7 +229,8 @@ const CommandHelp kCommands[] = {
      "                           in place)\n"
      "  --socket=PATH            serve a Unix-domain socket instead of\n"
      "                           stdin/stdout (concurrent connections)\n"
-     "  --slots=N                worker slots answering queries (default 2)\n"
+     "  --slots=N                worker slots answering queries, at least\n"
+     "                           1 (default 2)\n"
      "  --max-queue=N            admission queue bound; a full queue sheds\n"
      "                           load with an `overloaded` response and a\n"
      "                           retry_after_ms hint (default 64)\n"
@@ -282,8 +280,8 @@ const CommandHelp kCommands[] = {
      "  --batch-max=K            most queries one worker slot coalesces\n"
      "                           into a single blocked Schur solve that\n"
      "                           streams the matrix once for all of them\n"
-     "                           (default 8; 1 disables coalescing; at\n"
-     "                           most 16, one SpMM column group)\n"
+     "                           (default 8; 1 disables coalescing; in\n"
+     "                           [1, 16]: at most one SpMM column group)\n"
      "  --batch-window-ms=X      how long a slot that popped one query\n"
      "                           waits for more to coalesce with it\n"
      "                           (default 0 = only already-queued backlog\n"
@@ -386,7 +384,6 @@ const std::map<std::string, std::vector<FlagSpec>>& CommandFlagSpecs() {
                                      {"seeds-file", FlagType::kString},
                                      {"topk", FlagType::kInt},
                                      {"top-k", FlagType::kInt},
-                                     {"topk-via", FlagType::kString},
                                      {"dump-topk", FlagType::kString},
                                      {"warm-start", FlagType::kString},
                                      {"dump-scores", FlagType::kString},
@@ -483,7 +480,6 @@ Status CheckQueryFlagCombinations(const Flags& flags) {
       {"num-queries", flags.Has("stats"), "needs --stats"},
       {"top-k", !mc && !flags.Has("stats"),
        "cannot be combined with --stats or --engine=mc"},
-      {"topk-via", flags.Has("top-k"), "needs --top-k"},
       {"dump-topk", flags.Has("top-k"), "needs --top-k"},
       {"topk", single_dense,
        "sets the ranking of a single-seed dense query (not --seeds-file, "
@@ -812,8 +808,8 @@ TopKOptions TopKOptionsFromFlags(const Flags& flags) {
 }
 
 /// Full-precision ranking dump, one "node score" line per entry: `cmp` of
-/// a pruned dump against a --topk-via=dense dump of the same query is the
-/// exact-mode byte-identity check smoke_topk runs in CI.
+/// two dumps is a bit-identity check on the rankings, which smoke_topk
+/// runs against the top of a --dump-scores dump of the same query.
 int DumpTopKFile(const std::vector<std::pair<index_t, real_t>>& entries,
                  const std::string& dump_path) {
   AtomicFileWriter writer(dump_path);
@@ -830,65 +826,35 @@ int DumpTopKFile(const std::vector<std::pair<index_t, real_t>>& entries,
   return 0;
 }
 
-/// `query --top-k`: single-seed top-k query. --topk-via=pruned (default)
-/// runs the pruned back-substitution; --topk-via=dense forces the
-/// full-solve + sort baseline the pruned path must match byte-for-byte.
+/// `query --top-k`: single-seed top-k query.
 int QueryTopKSingle(const BepiSolver& solver, const Flags& flags,
                     index_t seed) {
-  TopKOptions opts = TopKOptionsFromFlags(flags);
-  const std::string via = flags.GetString("topk-via", "pruned");
-  if (via != "pruned" && via != "dense") {
-    return Fail(Status::InvalidArgument(
-        "--topk-via must be \"pruned\" or \"dense\", got \"" + via + "\""));
-  }
+  const TopKOptions opts = TopKOptionsFromFlags(flags);
   auto warm = WarmStartFromFlags(flags);
   if (!warm.ok()) return Fail(warm.status());
   QueryStats stats;
   QueryControl control;
   control.cancel = ShutdownToken();
   control.warm_start_mc = *warm;
-  TopKResult result;
-  if (via == "dense") {
-    const index_t n = solver.decomposition().n;
-    if (opts.k < 1 || opts.k > n) {
-      return Fail(Status::InvalidArgument(
-          "--top-k must be in [1, " + std::to_string(n) + "], got " +
-          std::to_string(opts.k)));
-    }
-    control.eps = opts.eps;
-    auto scores = solver.Query(seed, &stats, nullptr, control);
-    if (!scores.ok()) return Fail(scores.status());
-    result.entries = TopK(*scores, opts.k, opts.exclude);
-    if (opts.mode == TopKMode::kEps) result.error_bound = stats.error_bound;
-  } else {
-    auto r = solver.QueryTopK(seed, opts, &stats, nullptr, control);
-    if (!r.ok()) return Fail(r.status());
-    result = std::move(*r);
-  }
-  std::printf("top-%lld query (%s mode, via %s) took %.3f ms\n",
+  auto result = solver.QueryTopK(seed, opts, &stats, nullptr, control);
+  if (!result.ok()) return Fail(result.status());
+  std::printf("top-%lld query (%s mode) took %.3f ms\n",
               static_cast<long long>(opts.k), TopKModeName(opts.mode),
-              via.c_str(), stats.seconds * 1e3);
+              stats.seconds * 1e3);
   PrintQueryReport(stats);
-  if (result.pruned) {
-    std::printf("pruned %lld rows, computed %lld candidates "
-                "(%llu bytes touched)\n",
-                static_cast<long long>(result.pruned_rows),
-                static_cast<long long>(result.candidates),
-                static_cast<unsigned long long>(result.bytes_touched));
-  }
   if (opts.mode == TopKMode::kEps) {
     std::printf("per-score error bound: +/-%.3g\n",
-                static_cast<double>(result.error_bound));
+                static_cast<double>(result->error_bound));
   }
   Table table({"rank", "node", "score"});
-  for (std::size_t i = 0; i < result.entries.size(); ++i) {
+  for (std::size_t i = 0; i < result->entries.size(); ++i) {
     table.AddRow({Table::Int(static_cast<long long>(i) + 1),
-                  Table::Int(result.entries[i].first),
-                  Table::Num(result.entries[i].second, 6)});
+                  Table::Int(result->entries[i].first),
+                  Table::Num(result->entries[i].second, 6)});
   }
   table.Print();
   const std::string dump_path = flags.GetString("dump-topk", "");
-  if (!dump_path.empty()) return DumpTopKFile(result.entries, dump_path);
+  if (!dump_path.empty()) return DumpTopKFile(result->entries, dump_path);
   return 0;
 }
 
@@ -1363,11 +1329,16 @@ int main(int argc, char** argv) {
     if (valid.ok() && command == "query") {
       valid = CheckQueryFlagCombinations(flags);
     }
-    if (valid.ok() && command == "serve" &&
-        flags.GetInt("batch-max", 8) >
-            static_cast<bepi::index_t>(bepi::BepiSolver::kPanelWidth)) {
-      valid = bepi::Status::InvalidArgument(
-          "--batch-max must be at most 16 (one SpMM column group)");
+    if (valid.ok() && command == "serve") {
+      const bepi::index_t batch_max = flags.GetInt("batch-max", 8);
+      if (batch_max < 1 ||
+          batch_max >
+              static_cast<bepi::index_t>(bepi::BepiSolver::kPanelWidth)) {
+        valid = bepi::Status::InvalidArgument(
+            "--batch-max must be in [1, 16] (at most one SpMM column group)");
+      } else if (flags.GetInt("slots", 2) < 1) {
+        valid = bepi::Status::InvalidArgument("--slots must be at least 1");
+      }
     }
     if (!valid.ok()) {
       std::fprintf(stderr, "error: %s\nrun `bepi_cli help %s` for usage.\n",

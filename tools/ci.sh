@@ -48,7 +48,7 @@
 #     so the degradation chain must bottom out in the MC terminal stage
 #     and still answer (CLI and serve) with a bounded-error reply;
 #   * top-k: exact-mode `query --top-k` dumps must be byte-identical to
-#     sorting a full dense solve (--topk-via=dense) across
+#     the top of the same seed's full `--dump-scores` dump across
 #     --kernel=compact/wide and --threads=1/4 on two example graphs,
 #     crosscheck --query-eps verifies the eps-mode per-score bound
 #     against the MC oracle, and a fully faulted chain must still answer
@@ -74,14 +74,14 @@
 #     batch-serve artifact asserts per-query stream bytes fall
 #     monotonically with the batch width and cache hits beat cold
 #     solves, the topk artifact asserts exact-mode answers matched the
-#     dense sort and the k=1 pruned back-substitution cleared the
-#     byte-reduction floor (>=1.2x fewer bytes than the dense baseline),
+#     dense sort and the warm start's iteration savings were recorded,
 #     and the observability artifact asserts bit-identical scores and
 #     <2% query overhead with the forensics machinery on;
 #   * flag rejections: every `bepi_cli` flag combination that would be
 #     silently ignored, every integer flag value that does not fit the
-#     type the program keeps it in, and a serve --batch-max wider than
-#     one Solve panel must exit 2 naming the flag;
+#     type the program keeps it in, a serve --batch-max outside one
+#     Solve panel's 1 to 16 and a serve --slots below 1 must exit 2
+#     naming the flag;
 #   * docs cross-check: tools/check_docs.sh verifies every flag and
 #     BEPI_* variable documented in README/docs against the binary and
 #     the source tree.
@@ -146,6 +146,7 @@ smoke_flag_rejections() {
     --seeds-file="$work/seeds.txt" --topk=3
   expect_usage_error --topk "${q[@]}" --stats --topk=3
   expect_usage_error --topk "${q[@]}" --top-k=5 --topk=3
+  # A flag that no longer exists is rejected like any unknown flag.
   expect_usage_error --topk-via "${q[@]}" --topk-via=dense
   expect_usage_error --dump-topk "${q[@]}" --dump-topk="$work/t.txt"
   expect_usage_error --model query --engine=mc --graph="$work/g.txt" \
@@ -169,8 +170,12 @@ smoke_flag_rejections() {
   expect_usage_error --cache-mb serve --model="$work/m.txt" \
     --cache-mb=4294967296
   expect_usage_error --seed-node "${q[@]}" --seed-node=99999999999999999999
-  # A serve batch is one Solve panel: at most 16 queries.
+  # A serve batch is one Solve panel of 1 to 16 queries, and a server
+  # needs a slot to answer.
   expect_usage_error --batch-max serve --model="$work/m.txt" --batch-max=17
+  expect_usage_error --batch-max serve --model="$work/m.txt" --batch-max=0
+  expect_usage_error --batch-max serve --model="$work/m.txt" --batch-max=-5
+  expect_usage_error --slots serve --model="$work/m.txt" --slots=0
   echo "    every ignored flag combination and out-of-range integer exits 2" \
     "naming the flag"
   rm -rf "$work"
@@ -446,11 +451,13 @@ smoke_topk() {
   local work
   work="$(mktemp -d)"
   echo "=== top-k smoke test ==="
-  # 1. Exact mode is bitwise exact: the pruned top-k dump must be byte-
-  # identical to sorting a full dense solve (--topk-via=dense), across
-  # both kernel paths and thread counts, on a deadend-heavy and a dense
-  # example graph. The dumps are full-precision (%.17g round-trips
-  # doubles), so cmp checks bit equality, not a tolerance.
+  # 1. Exact mode is bitwise exact: the top-k dump must be byte-identical
+  # to the top 25 of the same seed's full --dump-scores dump (score
+  # descending, then node ascending), across both kernel paths and thread
+  # counts, on a deadend-heavy and a dense example graph. The dumps are
+  # full-precision (%.17g round-trips doubles) and the reference reuses
+  # the score dump's own strings, so cmp checks bit equality, not a
+  # tolerance.
   "$cli" generate --out="$work/spoke.txt" --nodes=400 --edges=1800 \
     --deadends=0.2 --seed=7 >/dev/null
   "$cli" generate --out="$work/dense.txt" --nodes=200 --edges=3000 \
@@ -459,8 +466,15 @@ smoke_topk() {
   for name in spoke dense; do
     "$cli" preprocess --graph="$work/$name.txt" --model="$work/$name.model" \
       >/dev/null
-    "$cli" query --model="$work/$name.model" --seed-node=3 --top-k=25 \
-      --topk-via=dense --dump-topk="$work/${name}_ref.txt" >/dev/null
+    "$cli" query --model="$work/$name.model" --seed-node=3 \
+      --dump-scores="$work/${name}_scores.txt" >/dev/null
+    python3 - "$work/${name}_scores.txt" >"$work/${name}_ref.txt" <<'EOF'
+import sys
+scores = open(sys.argv[1]).read().split()
+ranked = sorted(range(len(scores)), key=lambda i: (-float(scores[i]), i))
+for node in ranked[:25]:
+    print(node, scores[node])
+EOF
     for kernel in compact wide; do
       for threads in 1 4; do
         "$cli" query --model="$work/$name.model" --seed-node=3 --top-k=25 \
@@ -470,8 +484,8 @@ smoke_topk() {
       done
     done
   done
-  echo "    exact top-k byte-identical to dense solve + sort across" \
-    "--kernel compact/wide and --threads 1/4 on both graphs"
+  echo "    exact top-k byte-identical to the sorted --dump-scores solve" \
+    "across --kernel compact/wide and --threads 1/4 on both graphs"
 
   # 2. Eps mode's per-score bound must be honest: crosscheck --query-eps
   # runs every query in eps mode and fails if any node's deviation from
@@ -1013,12 +1027,6 @@ trec = topk["results"]
 assert trec, "BENCH_topk.json has no results"
 exact = [r for r in trec if r["metric"] == "exact_match"]
 assert exact and all(r["value"] == 1.0 for r in exact), exact
-# The byte-reduction floor: at k=1 the pruned back-substitution must
-# stream meaningfully fewer bytes than the dense baseline on every
-# dataset (observed 1.6x-44x at this scale; real graphs are higher).
-redux = [r for r in trec
-         if r["method"] == "k=1" and r["metric"] == "byte_reduction"]
-assert redux and all(r["value"] >= 1.2 for r in redux), redux
 warm = [r for r in trec if r["metric"] == "iterations_saved_frac"]
 assert warm and all(r["value"] >= 0.0 for r in warm), warm
 obs = json.load(open(f"{out}/BENCH_observability.json"))
