@@ -31,8 +31,8 @@ inline constexpr char kGmresNan[] = "gmres.nan";           // poisons a Krylov v
 inline constexpr char kBicgstabBreakdown[] = "bicgstab.breakdown";
 inline constexpr char kBicgstabNan[] = "bicgstab.nan";
 inline constexpr char kEdgeListRead[] = "graph.io.read";   // mid-stream IO error
-// Forces the global power-iteration fallback (degradation-chain hop 4) to
-// exhaust its budget without converging, driving queries down to the
+// Forces the power stage (degradation-chain hop 4, power iteration on S)
+// to exhaust its budget without converging, driving queries down to the
 // Monte-Carlo terminal stage.
 inline constexpr char kPowerStall[] = "power.stall";
 // Kills a Monte-Carlo estimate before any walk runs (engine/mc): the one

@@ -1,5 +1,5 @@
 // Checksummed section framing for durable on-disk artifacts (model format
-// v7, preprocessing checkpoints). A framed file is
+// v8, preprocessing checkpoints). A framed file is
 //
 //   <magic>\n
 //   %section <name> <length> <crc32c-hex><blanks>\n
@@ -18,7 +18,7 @@
 // so the payload starts on a 64-byte file offset; a reader accepts only
 // that exact padding, so a file has one encoding. The framing never looks
 // inside a payload; PayloadWriter/PayloadReader below are the one encoding
-// every payload uses (model format v7 and the preprocessing checkpoints
+// every payload uses (model format v8 and the preprocessing checkpoints
 // alike): 8-byte little-endian fields and raw little-endian arrays, each
 // array preceded by zero pad bytes up to the next 64-byte boundary of the
 // payload, so a reader can use an array in place.

@@ -139,10 +139,6 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
 
 void BepiSolver::Publish() {
   inverse_perm_ = InversePermutation(dec_.perm);
-  // The eps bound's coefficients: one O(nnz) pass over the
-  // back-substitution matrices, block by spoke block, negligible next to
-  // the decomposition itself and valid until the matrices change.
-  score_bound_ = BuildScoreBoundCoefficients(dec_, *kernels_);
   BEPI_LOG(Info) << "kernel path " << KernelPathName(kernels_->path) << " ("
                  << kernels_->reason << ")";
   if (MetricsEnabled()) {
@@ -455,8 +451,7 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
     c.cq = &cq[j];
   }
   if (dec_.n2 > 0) {
-    const TerminalStages terminal{kernels_.get(), &inverse_perm_,
-                                  options_.restart_prob, mc_,
+    const TerminalStages terminal{&inverse_perm_, options_.restart_prob, mc_,
                                   mc_fallback_options_};
     const ResilientSolveOptions chain{options_.max_iterations,
                                       options_.gmres_restart,
@@ -469,7 +464,7 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
   }
 
   // Each column's verdict. Those holding a Schur iterate back-substitute
-  // together; a terminal stage's full vector needs no back-substitution.
+  // together; the MC stage's full vector needs no back-substitution.
   std::vector<real_t> error_bounds(k, 0.0);
   std::vector<QueryResult*> solved_outs;
   std::vector<SlicedVector> solved_cq;
@@ -495,26 +490,19 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
     } else if (!c.status.ok()) {
       out.status = c.status;
     } else if (c.full) {
-      // A terminal stage built the full reordered vector. It owes a bound
-      // when one was asked for — the MC half-width already is a
-      // per-coordinate bound, the power residual is not.
-      const SolveAttempt& producing = c.report.attempts.back();
+      // The MC stage built the full reordered vector. Its walk half-width
+      // is already a per-coordinate bound, owed when one was asked for.
       if (eps > 0.0 || ranked) {
-        error_bounds[j] =
-            producing.stage == "power"
-                ? PowerScoreBound(*kernels_, cq[j], c.x, options_.restart_prob)
-                : producing.residual;
+        error_bounds[j] = c.report.attempts.back().residual;
       }
-      if (ranked) {
-        out.topk.error_bound =
-            error_bounds[j] > 0.0 ? error_bounds[j] : producing.residual;
-      }
+      if (ranked) out.topk.error_bound = error_bounds[j];
       out.scores =
           Unslice(SlicedVector{1, std::move(c.x), {}, {}}, inverse_perm_);
     } else {
-      // The honest eps-mode bound is computed from the iterate the chain
-      // actually hands to back-substitution, partial iterates included; an
-      // exact-mode partial top-k reports the same residual-derived bound.
+      // A Schur iterate from any stage, Krylov or power. The honest eps-mode
+      // bound is computed from the iterate the chain actually hands to
+      // back-substitution, partial iterates included; an exact-mode partial
+      // top-k reports the same residual-derived bound.
       if (eps > 0.0) error_bounds[j] = EpsErrorBound(*c.b, c.x);
       if (ranked) {
         out.topk.error_bound = error_bounds[j] == 0.0 && cancelled
@@ -527,7 +515,7 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
     }
   }
   if (!solved_outs.empty()) {
-    // Lines 5-7 over the Krylov-answered columns.
+    // Lines 5-7 over the columns a Schur stage answered.
     BackSubstitute(std::move(solved_cq), std::move(r2), solved_outs);
   }
   // A top-k request ranks its full vector and keeps only the ranking.
@@ -568,7 +556,7 @@ real_t BepiSolver::EpsErrorBound(const Vector& q2_tilde,
   kernels_->schur.ResidualInto(r2, q2_tilde, &rho);
   real_t norm1 = 0.0;
   for (real_t v : rho) norm1 += std::abs(v);
-  return ScoreErrorBound(score_bound_, norm1, options_.restart_prob);
+  return ScoreErrorBound(norm1, options_.restart_prob);
 }
 
 bool BepiSolver::McWarmStart(const QueryControl& control,
@@ -623,27 +611,26 @@ std::uint64_t BepiSolver::PreprocessedBytes() const {
   if (kernels_ == nullptr) return 0;
   // The query-phase views at their index widths — the same arrays whether
   // preprocessing built them or a load borrowed them from the file — plus
-  // the arrays a solver always owns.
+  // the permutation and its inverse, which a solver always owns.
   std::uint64_t bytes = kernels_->ByteSize();
   // The ILU(0) factors share S's pattern: only their values and lower
   // offsets are extra.
   if (ilu_.has_value()) bytes += ilu_->ByteSize();
-  bytes += static_cast<std::uint64_t>(dec_.perm.size() + inverse_perm_.size() +
-                                      dec_.block_sizes.size()) *
+  bytes += static_cast<std::uint64_t>(dec_.perm.size() + inverse_perm_.size()) *
            sizeof(index_t);
   return bytes;
 }
 
 namespace {
 
-// Model format v7 (DESIGN.md §9): the checksummed framing of
+// Model format v8 (DESIGN.md §9): the checksummed framing of
 // common/sections.hpp around raw little-endian arrays, each on a 64-byte
 // file offset (its PayloadWriter, sparse/io.hpp's CSR codec, and
-// core/decomposition.hpp's perm and blocks codecs), so a load uses the
-// matrices and the persisted ILU(0) factors in place instead of decoding
-// or refactoring them.
+// core/decomposition.hpp's perm codec), so a load uses the matrices and
+// the persisted ILU(0) factors in place instead of decoding or refactoring
+// them. It holds what Algorithm 4 reads and nothing else.
 
-/// The nine stored matrices in serialization order with their shapes in
+/// The seven stored matrices in serialization order with their shapes in
 /// terms of the partition sizes.
 struct MatrixSpec {
   const char* name;
@@ -667,33 +654,28 @@ constexpr MatrixSpec kMatrixSpecs[] = {
      &HubSpokeDecomposition::n2},
     {"schur", &DecompositionKernels::schur, &HubSpokeDecomposition::n2,
      &HubSpokeDecomposition::n2},
-    {"h11", &DecompositionKernels::h11, &HubSpokeDecomposition::n1,
-     &HubSpokeDecomposition::n1},
-    {"h22", &DecompositionKernels::h22, &HubSpokeDecomposition::n2,
-     &HubSpokeDecomposition::n2},
 };
 
-/// Whether a v7 writer produces a section called `name`.
+/// Whether a v8 writer produces a section called `name`.
 bool IsModelSection(std::string_view name) {
   for (const MatrixSpec& spec : kMatrixSpecs) {
     if (name == spec.name) return true;
   }
-  for (std::string_view other : {"options", "perm", "ilu0", "kernel",
-                                 "blocks"}) {
+  for (std::string_view other : {"options", "perm", "ilu0", "kernel"}) {
     if (name == other) return true;
   }
   return false;
 }
 
-/// Where a non-v7 header came from, for the rejection message.
+/// Where a non-v8 header came from, for the rejection message.
 Status UnsupportedHeader(std::string_view header) {
   constexpr std::string_view kVersionPrefix = "BEPI-MODEL v";
   if (header.substr(0, kVersionPrefix.size()) == kVersionPrefix) {
     return Status::IoError(
         "BePI model format v" +
         std::string(header.substr(kVersionPrefix.size(), 16)) +
-        " is not supported (this build reads v7): re-run `bepi_cli "
-        "preprocess` on the graph to write a v7 model");
+        " is not supported (this build reads v8): re-run `bepi_cli "
+        "preprocess` on the graph to write a v8 model");
   }
   return Status::IoError("not a BePI model stream (bad header)");
 }
@@ -765,9 +747,6 @@ Status BepiSolver::Save(std::ostream& out) const {
     kernel.U64(kernels_->path == KernelPath::kCompact ? 1 : 0);
     BEPI_RETURN_IF_ERROR(writer.Add("kernel", kernel.bytes()));
   }
-  // Spoke block layout, which the eps bound's coefficients are taken over
-  // (core/topk.hpp).
-  BEPI_RETURN_IF_ERROR(writer.Add("blocks", EncodeBlocks(dec_)));
   BEPI_RETURN_IF_ERROR(writer.Finish());
   if (!out) return Status::IoError("failed writing BePI model stream");
   return Status::Ok();
@@ -854,11 +833,6 @@ Result<BepiSolver> BepiSolver::Load(std::shared_ptr<const AlignedBytes> bytes) {
         views.*spec.member,
         DecodeMatrixView(section, dec.*spec.rows, dec.*spec.cols, bytes));
   }
-  {
-    BEPI_ASSIGN_OR_RETURN(const Section section,
-                          FindSection(sections, "blocks"));
-    BEPI_RETURN_IF_ERROR(DecodeBlocks(section, &dec));
-  }
   // The factor values stay in the file; a preconditioned model without
   // them had ILU(0) break down at preprocess and loads unpreconditioned.
   const float* ilu_triangles = nullptr;
@@ -897,7 +871,7 @@ Result<BepiSolver> BepiSolver::Load(std::shared_ptr<const AlignedBytes> bytes) {
   }
 
   // Bind: the kernel path (the model's own unless --kernel/BEPI_KERNEL
-  // forces one), the inverse permutation and the eps bound's coefficients.
+  // forces one) and the inverse permutation.
   stage.emplace(LoadStep::kBind);
   const KernelPath forced = GlobalKernelPath();
   solver.kernels_ =

@@ -47,9 +47,9 @@ struct BepiOptions : RwrOptions {
   SlashBurnOptions::HubSelection hub_selection =
       SlashBurnOptions::HubSelection::kDegree;
   /// Run the degradation chain (core/resilient.hpp) when the primary
-  /// Schur solve fails, ending in global power iteration. When false a
-  /// failed solve surfaces as Status kNotConverged (the pre-resilience
-  /// behavior, kept for ablations).
+  /// Schur solve fails, ending in power iteration on S and, when armed,
+  /// Monte-Carlo walks. When false a failed solve surfaces as Status
+  /// kNotConverged (the pre-resilience behavior, kept for ablations).
   bool enable_fallbacks = true;
   /// Cooperative cancellation for *preprocessing* (the CLI links the
   /// SIGINT/SIGTERM shutdown flag here). Checked at stage boundaries; with
@@ -83,10 +83,10 @@ struct QueryControl {
   const char* request_id = nullptr;
   /// Bounded-error approximate mode: when > 0 the Schur solve stops at
   /// this relative residual tolerance instead of the model's, and a clean
-  /// solve computes its true residual and reports the propagated sup-norm
-  /// per-score bound in QueryStats::error_bound (core/topk.hpp
-  /// ScoreErrorBound — the bound crosscheck verifies against the MC
-  /// oracle). 0 leaves the solve bit-identical to the default path.
+  /// solve computes its true residual and reports the sup-norm per-score
+  /// bound in QueryStats::error_bound (core/topk.hpp ScoreErrorBound — the
+  /// bound crosscheck verifies against the MC oracle). 0 leaves the solve
+  /// bit-identical to the default path.
   real_t eps = 0.0;
   /// Seed the Schur solve's initial iterate from a cheap Monte-Carlo
   /// estimate (the attached AttachMcFallback engine) instead of zero —
@@ -215,9 +215,10 @@ class BepiSolver final : public RwrSolver {
   /// mode returns entries byte-identical to TopK(Query(seed), k,
   /// opts.exclude); eps mode stops the Schur solve at opts.eps and reports
   /// the honest per-score bound in TopKResult::error_bound (mirrored into
-  /// stats->error_bound). When a terminal stage of the chain (power, MC)
-  /// answers, its vector is ranked with the producing attempt's honest
-  /// bound.
+  /// stats->error_bound). Every Schur stage of the chain (Krylov or power)
+  /// answers with a Schur iterate and takes these rules; when the MC stage
+  /// answers, its vector is ranked with the walk estimate's half-width as
+  /// the bound.
   Result<TopKResult> QueryTopK(index_t seed, const TopKOptions& opts,
                                QueryStats* stats = nullptr,
                                GmresWorkspace* workspace = nullptr,
@@ -226,7 +227,7 @@ class BepiSolver final : public RwrSolver {
 
   /// Arms the Monte-Carlo walk engine (engine/mc) as the terminal stage of
   /// the degradation chain: when every linear-algebra stage — including
-  /// the global power fallback — has failed, the query is answered by
+  /// power iteration on S — has failed, the query is answered by
   /// simulating walks on the raw graph, with the estimate's confidence
   /// half-width recorded as the attempt's residual (the explicit error
   /// bound). The engine must be built over the same graph the model was
@@ -238,8 +239,8 @@ class BepiSolver final : public RwrSolver {
 
   const BepiPreprocessInfo& info() const { return info_; }
   const BepiOptions& options() const { return options_; }
-  /// Partition sizes, permutation and spoke blocks (the matrices live in
-  /// kernels()).
+  /// Partition sizes and permutation (the matrices live in kernels(); the
+  /// spoke block sizes only after Preprocess).
   const HubSpokeDecomposition& decomposition() const { return dec_; }
   /// The ILU(0) preconditioner (present only in kPreconditioned mode).
   const Ilu0* preconditioner() const {
@@ -250,14 +251,14 @@ class BepiSolver final : public RwrSolver {
   const DecompositionKernels* kernels() const { return kernels_.get(); }
   real_t effective_hub_ratio() const { return effective_hub_ratio_; }
 
-  /// First line of every model Save writes: format v7 (DESIGN.md §9).
-  static constexpr char kModelMagic[] = "BEPI-MODEL v7";
+  /// First line of every model Save writes: format v8 (DESIGN.md §9).
+  static constexpr char kModelMagic[] = "BEPI-MODEL v8";
 
   /// Serializes the preprocessed model — options, permutation, the
   /// query-phase matrices, the ILU(0) factor values (f32 triangles, f64
-  /// pivots), the kernel path and the spoke block layout — as checksummed
-  /// sections of raw little-endian arrays, each on a 64-byte file offset,
-  /// so a load can use them in place. Preprocessing runs once and the
+  /// pivots) and the kernel path — as checksummed sections of raw
+  /// little-endian arrays, each on a 64-byte file offset, so a load can
+  /// use them in place. Preprocessing runs once and the
   /// model can then be shipped to query servers. Byte-stable: saving a
   /// loaded model reproduces the file.
   Status Save(std::ostream& out) const;
@@ -274,13 +275,11 @@ class BepiSolver final : public RwrSolver {
   ///   verify   every section's CRC32C and the manifest;
   ///   validate every structural check, in place: counts against the
   ///            bytes, alignment and zero pads, CSR structure and shapes,
-  ///            the permutation and block tiling, the ILU(0) diagonal
-  ///            and pivots;
-  ///   bind     the inverse permutation, the eps bound's coefficients
-  ///            and the kernel views.
+  ///            the permutation, the ILU(0) diagonal and pivots;
+  ///   bind     the inverse permutation and the kernel views.
   /// The query path then reads the matrices and ILU(0) factor values from
   /// the loaded bytes themselves: nothing is copied unless --kernel forces
-  /// an index width the file does not store. A model of format v1-v6 is
+  /// an index width the file does not store. A model of format v1-v7 is
   /// rejected with an error that says to preprocess again.
   static Result<BepiSolver> Load(std::string_view model);
   static Result<BepiSolver> Load(std::istream& in);
@@ -309,7 +308,8 @@ class BepiSolver final : public RwrSolver {
   void Finish(const QueryRequest& request, QueryReport report, double seconds,
               real_t error_bound, QueryResult* out) const;
   /// Eps-mode epilogue: computes the true Schur residual of `r2` against
-  /// `q2_tilde` and returns the propagated sup-norm score bound.
+  /// `q2_tilde` and returns the sup-norm score bound of the answer
+  /// back-substituted from it (core/topk.hpp ScoreErrorBound).
   real_t EpsErrorBound(const Vector& q2_tilde, const Vector& r2) const;
 
   /// Cheap MC estimate of the hub slice used as the GMRES initial iterate
@@ -318,24 +318,20 @@ class BepiSolver final : public RwrSolver {
   bool McWarmStart(const QueryControl& control, const SlicedVector& cq,
                    Vector* x0) const;
 
-  /// The tail of Preprocess and of every Load: inverts the permutation,
-  /// computes the eps bound's coefficients over the bound views and the
-  /// spoke block layout, and publishes the kernel path (log line and
-  /// model.kernel_path gauge).
+  /// The tail of Preprocess and of every Load: inverts the permutation and
+  /// publishes the kernel path (log line and model.kernel_path gauge).
   void Publish();
 
   BepiOptions options_;
   real_t effective_hub_ratio_ = 0.0;
-  /// Partition sizes, permutation and spoke blocks. Its matrices are the
-  /// builder's and are empty once Preprocess has moved them into kernels_.
+  /// Partition sizes, permutation and (after Preprocess) spoke blocks. Its
+  /// matrices are the builder's and are empty once Preprocess has moved
+  /// them into kernels_.
   HubSpokeDecomposition dec_;
   std::optional<Ilu0> ilu_;
   /// The query-phase matrices as views (owned after Preprocess, borrowed
   /// from the model bytes after Load).
   std::unique_ptr<DecompositionKernels> kernels_;
-  /// The back-substitution's error amplification for eps and partial
-  /// answers (core/topk.hpp); computed by Publish.
-  ScoreBoundCoefficients score_bound_;
   Permutation inverse_perm_;  // new -> old
   BepiPreprocessInfo info_;
   bool preprocessed_ = false;

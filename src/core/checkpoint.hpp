@@ -11,7 +11,7 @@
 // Each checkpoint file is a section-framed stream (common/sections.hpp)
 // with magic "BEPI-CKPT v3" whose first section, `meta`, binds it to a
 // fingerprint of the (graph, options) pair and to its stage. Payloads are
-// binary, in the encoding of model format v7 (PayloadWriter, and the CSR
+// binary, in the encoding of model format v8 (PayloadWriter, and the CSR
 // codec of sparse/io.hpp, arrays on 64-byte boundaries): a checkpointed S
 // is the model's `schur` section byte for byte. Stale or corrupt
 // checkpoints, and those of an older format (the v1 text and v2 binary

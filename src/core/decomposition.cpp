@@ -1,6 +1,7 @@
 #include "core/decomposition.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <map>
 #include <optional>
@@ -448,12 +449,20 @@ void DecompositionKernels::ApplyH11InverseMulti(const real_t* v, index_t k,
   u1_inv.MultiplyMulti(tmp->data(), k, out);
 }
 
+namespace {
+
+/// The views of `k`, const or not, in model order.
+template <typename Kernels>
+auto Views(Kernels& k) {
+  return std::array{&k.l1_inv, &k.u1_inv, &k.h12, &k.h21,
+                    &k.h31,    &k.h32,    &k.schur};
+}
+
+}  // namespace
+
 std::uint64_t DecompositionKernels::ByteSize() const {
   std::uint64_t bytes = 0;
-  for (const KernelCsr* m :
-       {&l1_inv, &u1_inv, &h12, &h21, &h31, &h32, &schur, &h11, &h22}) {
-    bytes += m->ByteSize();
-  }
+  for (const KernelCsr* m : Views(*this)) bytes += m->ByteSize();
   return bytes;
 }
 
@@ -484,15 +493,11 @@ KernelPath ResolveKernelPath(bool fits, KernelPath requested,
 DecompositionKernels BindDecompositionKernels(DecompositionKernels k,
                                               KernelPath requested) {
   bool fits = true;
-  for (const KernelCsr* m :
-       {&k.l1_inv, &k.u1_inv, &k.h12, &k.h21, &k.h31, &k.h32, &k.schur}) {
+  for (const KernelCsr* m : Views(k)) {
     fits = fits && FitsCompactDims(m->rows(), m->cols(), m->nnz());
   }
   k.path = ResolveKernelPath(fits, requested, &k.reason);
-  for (KernelCsr* m : {&k.l1_inv, &k.u1_inv, &k.h12, &k.h21, &k.h31, &k.h32,
-                       &k.schur, &k.h11, &k.h22}) {
-    *m = m->WithPath(k.path);
-  }
+  for (KernelCsr* m : Views(k)) *m = m->WithPath(k.path);
   return k;
 }
 
@@ -508,12 +513,13 @@ DecompositionKernels TakeDecompositionKernels(HubSpokeDecomposition* dec,
                          {&k.h21, &dec->h21},
                          {&k.h31, &dec->h31},
                          {&k.h32, &dec->h32},
-                         {&k.schur, &dec->schur},
-                         {&k.h11, &dec->h11},
-                         {&k.h22, &dec->h22}}) {
+                         {&k.schur, &dec->schur}}) {
     *view = KernelCsr::Own(std::move(*m), requested);
     *m = CsrMatrix();
   }
+  // H11 and H22 live on only inside L1^{-1}, U1^{-1} and S.
+  dec->h11 = CsrMatrix();
+  dec->h22 = CsrMatrix();
   return BindDecompositionKernels(std::move(k), requested);
 }
 

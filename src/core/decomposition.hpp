@@ -140,9 +140,9 @@ struct DecompositionKernels {
   KernelPath path = KernelPath::kWide;
   std::string reason;
 
+  /// What Algorithm 4 reads (H11 and H22 enter only through L1^{-1},
+  /// U1^{-1} and S).
   KernelCsr l1_inv, u1_inv, h12, h21, h31, h32, schur;
-  /// H11 and H22, read only by the global power fallback.
-  KernelCsr h11, h22;
 
   /// U1^{-1} (L1^{-1} v) through the bound kernels.
   Vector ApplyH11Inverse(const Vector& v) const;
@@ -166,8 +166,9 @@ struct DecompositionKernels {
 DecompositionKernels BindDecompositionKernels(DecompositionKernels views,
                                               KernelPath requested);
 
-/// Moves the builder's matrices of `dec` into owning views on `requested`'s
-/// path and releases them (dec keeps its sizes, permutation and blocks).
+/// Moves the builder's query matrices of `dec` into owning views on
+/// `requested`'s path and releases every builder matrix, H11 and H22
+/// included (dec keeps its sizes, permutation and blocks).
 DecompositionKernels TakeDecompositionKernels(HubSpokeDecomposition* dec,
                                               KernelPath requested);
 

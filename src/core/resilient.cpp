@@ -1,7 +1,5 @@
 #include "core/resilient.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -11,7 +9,6 @@
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "core/topk.hpp"
 #include "engine/mc/mc.hpp"
 #include "solver/bicgstab.hpp"
 #include "solver/gmres.hpp"
@@ -84,16 +81,6 @@ std::vector<Stage> Chain(bool has_ilu, const ResilientSolveOptions& options) {
   return stages;
 }
 
-/// The one-column `s` as one full reordered vector.
-Vector Concat(const SlicedVector& s) {
-  Vector v;
-  v.reserve(s.v1.size() + s.v2.size() + s.v3.size());
-  for (const Vector* slice : {&s.v1, &s.v2, &s.v3}) {
-    v.insert(v.end(), slice->begin(), slice->end());
-  }
-  return v;
-}
-
 /// Why `stage` left a column unanswered.
 Status StageFailed(Stage stage, SolveOutcome outcome, bool enable_fallbacks) {
   return Status::NotConverged(
@@ -146,6 +133,20 @@ Result<Vector> McStage(const TerminalStages& terminal, SchurColumn* column) {
   }
   return r;
 }
+
+/// y = (I - S) x = x - S x: the power stage's iteration matrix, through
+/// the view's fused residual kernel.
+class IdentityMinusOperator final : public LinearOperator {
+ public:
+  explicit IdentityMinusOperator(const KernelCsr& s) : s_(s) {}
+  index_t size() const override { return s_.rows(); }
+  void Apply(const Vector& x, Vector* y) const override {
+    s_.ResidualInto(x, x, y);
+  }
+
+ private:
+  const KernelCsr& s_;
+};
 
 }  // namespace
 
@@ -224,167 +225,58 @@ Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
                c->request_id, &c->report);
         if (settle(c, solves[j].stats, &solves[j].x)) c->coalesced = coalesced;
       }
-    } else if (stage == Stage::kBicgstab || stage == Stage::kIluBicgstab) {
-      // BiCGSTAB: a different Krylov recurrence that does not share
-      // GMRES's restart-stagnation failure mode (preconditioned only as
-      // the ablation's first stage).
+    } else if (stage != Stage::kMc) {
+      // BiCGSTAB — a different Krylov recurrence that does not share
+      // GMRES's restart-stagnation failure mode (preconditioned only as the
+      // ablation's first stage) — or power iteration x <- q2~ + (I - S) x,
+      // which needs no preconditioner and no Krylov recurrence at all.
+      const auto solve = [&](const SchurColumn& c,
+                             SolveStats* stats) -> Result<Vector> {
+        if (stage == Stage::kPower) {
+          FixedPointOptions fp;
+          fp.tol = c.tol;
+          fp.max_iters = options_.max_iters;
+          fp.cancel = c.cancel;
+          return FixedPointIteration(IdentityMinusOperator(schur_), *c.b, fp,
+                                     stats);
+        }
+        BicgstabOptions bi;
+        bi.tol = c.tol;
+        bi.max_iters = options_.max_iters;
+        bi.cancel = c.cancel;
+        return Bicgstab(op, *c.b, bi, stats,
+                        stage == Stage::kIluBicgstab ? ilu_ : nullptr);
+      };
       for (SchurColumn* c : pending) {
         TraceSpan hop_span("schur.hop");
         Timer hop_timer;
-        BicgstabOptions bi;
-        bi.tol = c->tol;
-        bi.max_iters = options_.max_iters;
-        bi.cancel = c->cancel;
         SolveStats stats;
-        BEPI_ASSIGN_OR_RETURN(
-            Vector x, Bicgstab(op, *c->b, bi, &stats,
-                               stage == Stage::kIluBicgstab ? ilu_ : nullptr));
+        BEPI_ASSIGN_OR_RETURN(Vector x, solve(*c, &stats));
         Record(&hop_span,
                MakeAttempt(StageName(stage), stats, hop_timer.Seconds()),
                c->request_id, &c->report);
         settle(c, stats, &x);
       }
     } else {
-      // The terminal stages answer the whole system H r = c q from the
-      // column's restart; a column without one skips them.
+      // The MC stage answers the whole system H r = c q from the column's
+      // restart; a column without one skips it.
       for (SchurColumn* c : pending) {
-        if (terminal_ == nullptr || c->cq == nullptr ||
-            (stage == Stage::kPower && terminal_->kern == nullptr) ||
-            (stage == Stage::kMc && terminal_->mc == nullptr)) {
+        if (terminal_ == nullptr || terminal_->mc == nullptr ||
+            c->cq == nullptr) {
           unanswered.push_back(c);
           continue;
         }
-        Result<Vector> r =
-            stage == Stage::kPower
-                ? GlobalPowerFallback(*terminal_->kern, Concat(*c->cq),
-                                      options_, c)
-                : McStage(*terminal_, c);
+        Result<Vector> r = McStage(*terminal_, c);
         c->status = r.status();
         if (r.ok()) {
           c->x = std::move(*r);
           c->full = true;
-        } else if (stage == Stage::kPower &&
-                   r.status().code() == StatusCode::kNotConverged) {
-          // Only an exhausted power budget degrades further; any other
-          // error ends the chain for this column.
-          unanswered.push_back(c);
         }
       }
     }
     pending = std::move(unanswered);
   }
   return Status::Ok();
-}
-
-bool SupportsGlobalPowerFallback(const DecompositionKernels& kern) {
-  const index_t n1 = kern.l1_inv.rows(), n2 = kern.schur.rows();
-  return kern.h11.rows() == n1 && kern.h11.cols() == n1 &&
-         kern.h22.rows() == n2 && kern.h22.cols() == n2 &&
-         kern.h12.rows() == n1 && kern.h12.cols() == n2 &&
-         kern.h21.rows() == n2 && kern.h21.cols() == n1 &&
-         kern.h31.cols() == n1 && kern.h32.rows() == kern.h31.rows() &&
-         kern.h32.cols() == n2;
-}
-
-namespace {
-
-/// y = (I - H) x assembled blockwise from the stored partitions of the
-/// reordered H (Equation (5); H13 = H23 = 0 and H33 = I, so the deadend
-/// rows of I - H are exactly -[H31 H32 0]).
-class BlockComplementOperator final : public LinearOperator {
- public:
-  explicit BlockComplementOperator(const DecompositionKernels& kern)
-      : kern_(kern) {}
-
-  index_t size() const override {
-    return kern_.l1_inv.rows() + kern_.schur.rows() + kern_.h31.rows();
-  }
-
-  void Apply(const Vector& x, Vector* y) const override {
-    const std::size_t n1 = static_cast<std::size_t>(kern_.l1_inv.rows());
-    const std::size_t n2 = static_cast<std::size_t>(kern_.schur.rows());
-    const std::size_t n3 = static_cast<std::size_t>(kern_.h31.rows());
-    const Vector x1(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n1));
-    const Vector x2(x.begin() + static_cast<std::ptrdiff_t>(n1),
-                    x.begin() + static_cast<std::ptrdiff_t>(n1 + n2));
-    y->assign(x.size(), 0.0);
-    // y1 = x1 - H11 x1 - H12 x2
-    if (n1 > 0) {
-      Vector y1 = x1;
-      kern_.h11.MultiplyAdd(-1.0, x1, &y1);
-      if (n2 > 0) kern_.h12.MultiplyAdd(-1.0, x2, &y1);
-      std::copy(y1.begin(), y1.end(), y->begin());
-    }
-    // y2 = x2 - H21 x1 - H22 x2
-    if (n2 > 0) {
-      Vector y2 = x2;
-      if (n1 > 0) kern_.h21.MultiplyAdd(-1.0, x1, &y2);
-      kern_.h22.MultiplyAdd(-1.0, x2, &y2);
-      std::copy(y2.begin(), y2.end(),
-                y->begin() + static_cast<std::ptrdiff_t>(n1));
-    }
-    // y3 = -(H31 x1 + H32 x2)
-    if (n3 > 0) {
-      Vector y3(n3, 0.0);
-      if (n1 > 0) kern_.h31.MultiplyAdd(-1.0, x1, &y3);
-      if (n2 > 0) kern_.h32.MultiplyAdd(-1.0, x2, &y3);
-      std::copy(y3.begin(), y3.end(),
-                y->begin() + static_cast<std::ptrdiff_t>(n1 + n2));
-    }
-  }
-
- private:
-  const DecompositionKernels& kern_;
-};
-
-}  // namespace
-
-Result<Vector> GlobalPowerFallback(const DecompositionKernels& kern,
-                                   const Vector& cq,
-                                   const ResilientSolveOptions& options,
-                                   SchurColumn* column) {
-  const BlockComplementOperator g_op(kern);
-  if (static_cast<index_t>(cq.size()) != g_op.size()) {
-    return Status::InvalidArgument("power fallback rhs size mismatch");
-  }
-  if (!SupportsGlobalPowerFallback(kern)) {
-    return Status::FailedPrecondition(
-        "decomposition lacks H11/H22; global power fallback unavailable");
-  }
-  TraceSpan fallback_span("query.power_fallback");
-  Timer hop_timer;
-  FixedPointOptions fp;
-  fp.tol = column->tol;
-  fp.max_iters = options.max_iters;
-  fp.cancel = column->cancel;
-  SolveStats stats;
-  BEPI_ASSIGN_OR_RETURN(Vector r, FixedPointIteration(g_op, cq, fp, &stats));
-  Record(&fallback_span,
-         MakeAttempt(StageName(Stage::kPower), stats, hop_timer.Seconds()),
-         column->request_id, &column->report);
-  // Mirror the Krylov stages' cancellation contract: ok Result, partial
-  // iterate, report->final_outcome == kCancelled.
-  if (stats.outcome == SolveOutcome::kCancelled) return r;
-  if (!stats.converged) {
-    return Status::NotConverged(
-        "global power-iteration fallback exhausted its budget at residual " +
-        std::to_string(stats.relative_residual));
-  }
-  return r;
-}
-
-real_t PowerScoreBound(const DecompositionKernels& kern,
-                       const SlicedVector& cq, const Vector& r,
-                       real_t restart_prob) {
-  // rho = c q - H r = c q - r + (I - H) r, through the stage's own operator.
-  Vector y;
-  BlockComplementOperator(kern).Apply(r, &y);
-  const Vector c_q = Concat(cq);
-  real_t norm1 = 0.0;
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    norm1 += std::abs(c_q[i] - r[i] + y[i]);
-  }
-  return FullSystemScoreBound(norm1, restart_prob);
 }
 
 }  // namespace bepi

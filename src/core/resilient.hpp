@@ -5,21 +5,28 @@
 // or silently hand back an unconverged vector: ILU(0) can break down on
 // degenerate graphs, GMRES can stagnate, and NaN/Inf can propagate from
 // corrupted inputs. ResilientSchurSolver runs the solve as an ordered
-// degradation chain — each stage trades speed for robustness, and the
-// power stage is unconditionally convergent for RWR because the iteration
-// matrix (1-c) Ã^T has spectral radius < 1:
+// degradation chain — each stage trades speed for robustness:
 //
 //   1. ILU(0)+GMRES        (the paper's method; fastest)
 //   2. Jacobi+GMRES        (survives ILU breakdown)
 //   3. BiCGSTAB, no precond (different Krylov recurrence; survives GMRES
 //                            stagnation)
-//   4. power iteration     (always converges; slowest)
+//   4. power iteration     (x <- q2~ + (I - S) x on S itself; always
+//                           converges, slowest of the Schur stages)
 //   5. Monte-Carlo walks   (engine/mc, armed via BepiSolver::
 //                           AttachMcFallback: failure-INDEPENDENT — walks
 //                           the raw graph, sharing none of the
 //                           preprocessed factors stages 1-4 all consume,
 //                           and answers with an explicit confidence bound
 //                           instead of a residual)
+//
+// Why stage 4 converges: S = I - T with T >= 0 and ||T||_1 <= 1 - c. T is
+// the hub block of (1-c) A~^T once the spokes are eliminated — a censored
+// substochastic chain whose columns sum to at most 1 - c — so the
+// iteration matrix I - S = T contracts the 1-norm by 1 - c per step, and
+// the Neumann series sum_t T^t = S^{-1} is the same one behind
+// core/topk.hpp's ||S^{-1}||_1 <= 1/c. Its iterate is a Schur iterate like
+// any Krylov stage's and goes through the same back-substitution.
 //
 // Two configurations reshape the chain instead of branching around it:
 // the BiCGSTAB ablation (BepiInnerSolver::kBicgstab) runs
@@ -95,18 +102,18 @@ struct SchurColumn {
   /// Request id of the serve request (server/protocol.hpp), attached to
   /// flight-recorder stage-hop events and stage trace spans. May be null.
   const char* request_id = nullptr;
-  /// The restart c*q sliced along [n1 | n2 | n3], one column. The
-  /// terminal stages (power, mc) answer the whole system H r = c q from
-  /// it; without it they are skipped.
+  /// The restart c*q sliced along [n1 | n2 | n3], one column. The MC
+  /// stage answers the whole system H r = c q from it; without it that
+  /// stage is skipped.
   const SlicedVector* cq = nullptr;
 
-  /// ok, or why every stage failed (kNotConverged; the power stage's or
-  /// walk engine's own error when that ended the chain).
+  /// ok, or why every stage failed (kNotConverged; the walk engine's own
+  /// error when that ended the chain).
   Status status = Status::Ok();
-  /// The answer: x = r2 from a Krylov stage, or — `full` set — the whole
-  /// reordered r from a terminal stage. When `report.final_outcome` is
-  /// kCancelled it is the interrupted stage's best iterate, the residual
-  /// in the last attempt.
+  /// The answer: x = r2 from a Schur stage (Krylov or power), or — `full`
+  /// set — the whole reordered r from the MC stage. When
+  /// `report.final_outcome` is kCancelled it is the interrupted stage's
+  /// best iterate, the residual in the last attempt.
   Vector x;
   bool full = false;
   /// The GMRES stage that answered solved two or more columns together.
@@ -115,11 +122,9 @@ struct SchurColumn {
   QueryReport report;
 };
 
-/// The terminal stages' inputs. `kern` feeds the power stage (skipped
-/// when it lacks H11/H22); `mc` (may be null: no walk stage) walks the raw
+/// The MC stage's inputs: `mc` (may be null: no walk stage) walks the raw
 /// graph, reached through `inverse_perm` and `restart_prob`. Not owned.
 struct TerminalStages {
-  const DecompositionKernels* kern = nullptr;
   const Permutation* inverse_perm = nullptr;
   real_t restart_prob = 0.05;
   const McWalkEngine* mc = nullptr;
@@ -133,8 +138,8 @@ class ResilientSchurSolver {
  public:
   /// `ilu` may be null (BePI-B/S modes, or after an ILU(0) breakdown at
   /// preprocessing time); the chain then starts at the Jacobi stage. The
-  /// Krylov stages run the view's compact/fused kernels. Without
-  /// `terminal` the chain ends after its Krylov stages.
+  /// Schur stages run the view's compact/fused kernels. Without `terminal`
+  /// the chain ends after the power stage.
   ResilientSchurSolver(const KernelCsr& schur, const Ilu0* ilu,
                        ResilientSolveOptions options,
                        const TerminalStages* terminal = nullptr);
@@ -158,31 +163,6 @@ class ResilientSchurSolver {
   ResilientSolveOptions options_;
   const TerminalStages* terminal_;
 };
-
-/// Whether `kern` holds the blocks needed by GlobalPowerFallback (H11 and
-/// H22 shaped by the partition; preprocessing and every model load provide
-/// them, views assembled by hand may not).
-bool SupportsGlobalPowerFallback(const DecompositionKernels& kern);
-
-/// The power stage: power iteration r <- (I - H) r + cq on the full
-/// reordered system, assembled blockwise from the views (partition sizes
-/// n1 = L1^{-1} rows, n2 = S rows, n3 = H31 rows). `cq` is the scaled
-/// start vector c*q in reordered ids (length n1 + n2 + n3); the result is
-/// the full reordered RWR vector. Reads the tolerance, cancel token and
-/// request id of `column` and appends its SolveAttempt to column->report.
-/// Fails only on budget exhaustion (kNotConverged).
-Result<Vector> GlobalPowerFallback(const DecompositionKernels& kern,
-                                   const Vector& cq,
-                                   const ResilientSolveOptions& options,
-                                   SchurColumn* column);
-
-/// Sup-norm per-score bound of a power-stage answer `r` (full, reordered)
-/// for the one-column restart `cq`: the true full-system residual
-/// rho = c q - H r through FullSystemScoreBound (core/topk.hpp). The
-/// stage's own scalar residual is not a per-score bound.
-real_t PowerScoreBound(const DecompositionKernels& kern,
-                       const SlicedVector& cq, const Vector& r,
-                       real_t restart_prob);
 
 }  // namespace bepi
 

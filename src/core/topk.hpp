@@ -1,4 +1,4 @@
-// Top-k query options and the sup-norm score bounds of approximate answers.
+// Top-k query options and the sup-norm score bound of approximate answers.
 //
 // A top-k request runs the same Algorithm 4 as a dense one — the Schur
 // solve, then the dense back-substitution
@@ -8,17 +8,15 @@
 // — and ranks the full vector with core/rwr.hpp TopK, so exact-mode
 // answers are the sorted dense solve by construction. What this header
 // adds is the bound math: when the Schur solve stops early (eps mode, a
-// cancelled partial answer), the error of the hub scores r2 propagates
-// through those two lines, and ScoreBoundCoefficients holds the
-// amplification factors that bound every score's error from the Schur
-// residual.
+// cancelled partial answer), ScoreErrorBound turns the true Schur
+// residual of the iterate into a bound on every score's error.
 #ifndef BEPI_CORE_TOPK_HPP_
 #define BEPI_CORE_TOPK_HPP_
 
 #include <utility>
 #include <vector>
 
-#include "core/decomposition.hpp"
+#include "common/types.hpp"
 
 namespace bepi {
 
@@ -55,38 +53,15 @@ struct TopKResult {
   real_t error_bound = 0.0;
 };
 
-/// How far back-substitution can amplify an error in the hub scores r2,
-/// from absolute row sums of the back-substitution matrices. Built once
-/// per model (one O(nnz) pass); all nonnegative.
-struct ScoreBoundCoefficients {
-  /// max over the diagonal blocks b of H11 of the product of the largest
-  /// absolute row sums of U1^{-1}, L1^{-1} and H12 over b's rows (L1^{-1}
-  /// and U1^{-1} are block diagonal, so a row of r1 reads only its own
-  /// block): ||dr1||_inf <= r1_coeff_max * ||dr2||_inf.
-  real_t r1_coeff_max = 0.0;
-  /// The largest absolute row sums of H31 and H32.
-  real_t a31_max = 0.0, a32_max = 0.0;
-};
-
-/// The coefficients of the views in `kern`, with dec's spoke block layout.
-ScoreBoundCoefficients BuildScoreBoundCoefficients(
-    const HubSpokeDecomposition& dec, const DecompositionKernels& kern);
-
-/// Sup-norm bound on the full score vector's error given the 1-norm of the
-/// true Schur residual rho = q2~ - S r2: ||S^{-1}||_1 <= 1/c for RWR
-/// (S^{-1} is a submatrix of H^{-1} whose Neumann series sums to 1/c), so
-/// ||dr2||_inf <= ||rho||_1 / c, amplified through the back-substitution
-/// rows by the coefficients. Includes rounding slack.
-real_t ScoreErrorBound(const ScoreBoundCoefficients& coefficients,
-                       real_t residual_norm1, real_t restart_prob);
-
-/// Sup-norm per-score bound from the 1-norm of the true FULL-system
-/// residual rho = c q - H r (all n rows, reordered): err = H^{-1} rho and
-/// ||H^{-1}||_1 <= 1/c by the same Neumann argument, so every score is
-/// within ||rho||_1 / c of the truth. Used for terminal-stage (power)
-/// answers, whose scalar solver residual is not a per-score bound.
-/// Includes rounding slack.
-real_t FullSystemScoreBound(real_t residual_norm1, real_t restart_prob);
+/// Sup-norm bound on every score's error of an answer back-substituted
+/// from a Schur iterate x, given the 1-norm of its true Schur residual
+/// rho = q2~ - S x. Back-substitution solves the spoke and deadend rows
+/// exactly, so the full residual c q - H r of the answer r is [0; rho; 0]
+/// and its error is H^{-1} [0; rho; 0]. ||H^{-1}||_1 <= sum_t (1-c)^t =
+/// 1/c because the columns of (1-c) A~^T sum to at most 1 - c (the
+/// Neumann argument that also gives ||S^{-1}||_1 <= 1/c), so every score
+/// is within ||rho||_1 / c of the truth. Includes rounding slack.
+real_t ScoreErrorBound(real_t residual_norm1, real_t restart_prob);
 
 }  // namespace bepi
 

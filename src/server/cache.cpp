@@ -1,51 +1,11 @@
 #include "server/cache.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/metrics.hpp"
-#include "core/bepi.hpp"
 #include "core/rwr.hpp"
 
 namespace bepi {
-
-namespace {
-
-std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t DoubleBits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-}  // namespace
-
-std::uint64_t ModelFingerprint(const BepiSolver& solver) {
-  const HubSpokeDecomposition& dec = solver.decomposition();
-  const DecompositionKernels& kern = *solver.kernels();
-  const BepiOptions& opt = solver.options();
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-  h = Fnv1a(h, static_cast<std::uint64_t>(dec.n));
-  h = Fnv1a(h, static_cast<std::uint64_t>(dec.n1));
-  h = Fnv1a(h, static_cast<std::uint64_t>(dec.n2));
-  h = Fnv1a(h, static_cast<std::uint64_t>(dec.n3));
-  h = Fnv1a(h, static_cast<std::uint64_t>(kern.schur.nnz()));
-  h = Fnv1a(h, static_cast<std::uint64_t>(kern.h11.nnz()));
-  h = Fnv1a(h, DoubleBits(static_cast<double>(opt.restart_prob)));
-  h = Fnv1a(h, DoubleBits(static_cast<double>(opt.tolerance)));
-  h = Fnv1a(h, static_cast<std::uint64_t>(opt.max_iterations));
-  h = Fnv1a(h, static_cast<std::uint64_t>(opt.gmres_restart));
-  h = Fnv1a(h, static_cast<std::uint64_t>(opt.mode));
-  h = Fnv1a(h, static_cast<std::uint64_t>(opt.inner_solver));
-  return h;
-}
 
 ScoreCache::ScoreCache(std::uint64_t max_bytes) : max_bytes_(max_bytes) {
   // Register up front so the exposition's key set is deterministic (the
@@ -73,11 +33,11 @@ void ScoreCache::PublishLocked() {
   bytes_gauge->Set(static_cast<double>(bytes_));
 }
 
-bool ScoreCache::Lookup(std::uint64_t fingerprint, index_t seed, index_t topk,
-                        bool want_scores, ScoreCacheHit* hit) {
+bool ScoreCache::Lookup(index_t seed, index_t topk, bool want_scores,
+                        ScoreCacheHit* hit) {
   if (!enabled()) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(Key{fingerprint, seed});
+  const auto it = index_.find(seed);
   const bool compact_ok =
       !want_scores && topk <= static_cast<index_t>(kCompactTopK);
   if (it == index_.end() ||
@@ -113,9 +73,8 @@ bool ScoreCache::Lookup(std::uint64_t fingerprint, index_t seed, index_t topk,
   return true;
 }
 
-void ScoreCache::Insert(std::uint64_t fingerprint, index_t seed,
-                        const Vector& scores, index_t iterations,
-                        real_t residual) {
+void ScoreCache::Insert(index_t seed, const Vector& scores,
+                        index_t iterations, real_t residual) {
   if (!enabled()) return;
   // TopK reserves ~n slots before its partial sort; shed the slack so a
   // compact entry really costs O(K), not O(n) (EntryBytes counts
@@ -123,8 +82,7 @@ void ScoreCache::Insert(std::uint64_t fingerprint, index_t seed,
   std::vector<std::pair<index_t, real_t>> top = TopK(scores, kCompactTopK, seed);
   top.shrink_to_fit();
   std::lock_guard<std::mutex> lock(mu_);
-  const Key key{fingerprint, seed};
-  const auto it = index_.find(key);
+  const auto it = index_.find(seed);
   if (it != index_.end()) {
     // Refresh (e.g. a demoted compact entry re-solved in full).
     bytes_ -= EntryBytes(*it->second);
@@ -135,8 +93,8 @@ void ScoreCache::Insert(std::uint64_t fingerprint, index_t seed,
     bytes_ += EntryBytes(*it->second);
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Entry{key, scores, std::move(top), iterations, residual});
-    index_.emplace(key, lru_.begin());
+    lru_.push_front(Entry{seed, scores, std::move(top), iterations, residual});
+    index_.emplace(seed, lru_.begin());
     bytes_ += EntryBytes(lru_.front());
   }
   ShrinkLocked();
@@ -159,22 +117,10 @@ void ScoreCache::ShrinkLocked() {
       lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
     } else {
       bytes_ -= EntryBytes(victim);
-      index_.erase(victim.key);
+      index_.erase(victim.seed);
       lru_.pop_back();
     }
   }
-}
-
-void ScoreCache::Invalidate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (lru_.empty()) return;
-  BEPI_METRIC_COUNTER(evict_counter, "server.cache.evictions");
-  evictions_ += lru_.size();
-  evict_counter->Increment(static_cast<std::uint64_t>(lru_.size()));
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  PublishLocked();
 }
 
 std::uint64_t ScoreCache::hits() const {

@@ -1,11 +1,11 @@
 // Hot-seed score cache for the serve path: an LRU of fully-solved RWR
-// score vectors keyed by (model fingerprint, seed) under a byte budget.
+// score vectors keyed by seed under a byte budget.
 //
-// An RWR query is a pure function of (model, seed, c, eps) — the same
-// identity the batch engine's within-batch dedupe rests on — so a cached
-// vector answers a repeat query byte-for-byte identically to re-solving
-// it, including the %.17g-rendered topk/scores/residual fields of the
-// serve response. Two entry grades share one LRU chain:
+// One server serves one model and owns one cache, so the seed is the
+// whole key. An exact RWR query is a pure function of (model, seed), so a
+// cached vector answers a repeat query byte-for-byte identically to
+// re-solving it, including the %.17g-rendered topk/scores/residual fields
+// of the serve response. Two entry grades share one LRU chain:
 //
 //   * full:    the complete score vector plus a precomputed top-K prefix.
 //     Serves any request (arbitrary topk, want_scores).
@@ -39,15 +39,6 @@
 
 namespace bepi {
 
-class BepiSolver;
-
-/// Structural + numeric identity of a loaded model: node/block counts,
-/// Schur nnz, restart probability and tolerance bits. Two models with the
-/// same fingerprint answer every seed identically (for cache purposes);
-/// a reloaded or re-preprocessed model fingerprints differently and its
-/// lookups miss without any explicit flush.
-std::uint64_t ModelFingerprint(const BepiSolver& solver);
-
 /// What a cache hit hands the response assembler: the request's exact
 /// topk ranking, the full vector when the request wants raw scores, and
 /// the original solve's iteration count and residual (replayed verbatim
@@ -72,21 +63,17 @@ class ScoreCache {
   ScoreCache(const ScoreCache&) = delete;
   ScoreCache& operator=(const ScoreCache&) = delete;
 
-  /// Answers (fingerprint, seed) if cached and the entry can serve the
-  /// request: a full entry serves anything; a compact entry serves
-  /// topk <= kCompactTopK without want_scores. Counts one hit or miss.
-  bool Lookup(std::uint64_t fingerprint, index_t seed, index_t topk,
-              bool want_scores, ScoreCacheHit* hit);
+  /// Answers `seed` if cached and the entry can serve the request: a full
+  /// entry serves anything; a compact entry serves topk <= kCompactTopK
+  /// without want_scores. Counts one hit or miss.
+  bool Lookup(index_t seed, index_t topk, bool want_scores,
+              ScoreCacheHit* hit);
 
   /// Caches a converged solve's full vector (the top-K prefix is computed
   /// here, excluding `seed` like the serve response does) and shrinks to
   /// the byte budget. Re-inserting an existing key refreshes it.
-  void Insert(std::uint64_t fingerprint, index_t seed, const Vector& scores,
-              index_t iterations, real_t residual);
-
-  /// Drops everything (model reload / fingerprint rotation). Dropped
-  /// entries count as evictions.
-  void Invalidate();
+  void Insert(index_t seed, const Vector& scores, index_t iterations,
+              real_t residual);
 
   std::uint64_t hits() const;
   std::uint64_t misses() const;
@@ -96,26 +83,8 @@ class ScoreCache {
   bool enabled() const { return max_bytes_ > 0; }
 
  private:
-  struct Key {
-    std::uint64_t fingerprint;
-    index_t seed;
-    bool operator==(const Key& o) const {
-      return fingerprint == o.fingerprint && seed == o.seed;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      // Splitmix-style finalizer over the two halves.
-      std::uint64_t h = k.fingerprint ^
-                        (static_cast<std::uint64_t>(k.seed) * 0x9e3779b97f4a7c15ULL);
-      h ^= h >> 30;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 27;
-      return static_cast<std::size_t>(h);
-    }
-  };
   struct Entry {
-    Key key;
+    index_t seed;
     Vector scores;  // empty once demoted to compact
     std::vector<std::pair<index_t, real_t>> topk;
     index_t iterations = 0;
@@ -131,7 +100,7 @@ class ScoreCache {
   /// MRU at front. The map's values point at list nodes (stable under
   /// splice).
   std::list<Entry> lru_;
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  std::unordered_map<index_t, std::list<Entry>::iterator> index_;
   std::uint64_t bytes_ = 0;
   std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };

@@ -139,8 +139,7 @@ QueryServer::QueryServer(const BepiSolver& solver, ServeOptions options)
         a.slots = std::max(1, options.slots);
         return a;
       }()),
-      cache_(static_cast<std::uint64_t>(std::max(0, options.cache_mb)) << 20),
-      fingerprint_(ModelFingerprint(solver)) {
+      cache_(static_cast<std::uint64_t>(std::max(0, options.cache_mb)) << 20) {
   options_.slots = std::max(1, options_.slots);
   workers_.reserve(static_cast<std::size_t>(options_.slots));
   for (int i = 0; i < options_.slots; ++i) {
@@ -698,8 +697,7 @@ bool QueryServer::LookupCache(const Request& req, QueryResult* hit) {
   // demoted compact entry keeps serving top_k <= kCompactTopK.
   if (!cache_.enabled() || req.mode_eps) return false;
   ScoreCacheHit cached;
-  if (!cache_.Lookup(fingerprint_, req.seed,
-                     req.top_k > 0 ? req.top_k : req.topk,
+  if (!cache_.Lookup(req.seed, req.top_k > 0 ? req.top_k : req.topk,
                      req.top_k == 0 && req.want_scores, &cached)) {
     return false;
   }
@@ -780,8 +778,8 @@ void QueryServer::Respond(const std::shared_ptr<Conn>& conn,
     if (insert_cache && req.top_k == 0 &&
         stats.outcome == SolveOutcome::kConverged &&
         stats.report.attempts.size() <= 1) {
-      cache_.Insert(fingerprint_, req.seed, result.scores,
-                    stats.total_iterations, stats.residual);
+      cache_.Insert(req.seed, result.scores, stats.total_iterations,
+                    stats.residual);
     }
 
     out = "{";

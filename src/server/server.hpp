@@ -197,9 +197,8 @@ class QueryServer {
   const BepiSolver& solver_;
   ServeOptions options_;
   AdmissionController admission_;
-  /// Hot-seed score cache, keyed under the loaded model's fingerprint.
+  /// Hot-seed score cache of solver_'s answers, keyed by seed.
   ScoreCache cache_;
-  const std::uint64_t fingerprint_;
   std::vector<std::unique_ptr<WorkerSlot>> workers_;
   std::vector<std::thread> worker_threads_;
   std::thread watchdog_thread_;

@@ -1,5 +1,5 @@
 // The CSR payload codec: how a matrix is stored in a section of a model
-// (format v7) or a preprocessing checkpoint (common/sections.hpp frames
+// (format v8) or a preprocessing checkpoint (common/sections.hpp frames
 // both), so the two hold the same bytes for the same matrix.
 #ifndef BEPI_SPARSE_IO_HPP_
 #define BEPI_SPARSE_IO_HPP_

@@ -38,7 +38,14 @@ BoundContext MakeContext(std::uint64_t seed, real_t epsilon) {
   BEPI_CHECK(ctx.exact.Preprocess(ctx.graph).ok());
   const DecompositionKernels& kern = *ctx.solver.kernels();
   ctx.sigma_min_s = SmallestSingularValue(kern.schur.ToCsr()).value();
-  ctx.sigma_min_h11 = SmallestSingularValue(kern.h11.ToCsr()).value();
+  // The model keeps no H11; a decomposition of the same graph under the
+  // same options builds it again.
+  DecompositionOptions dopts;
+  dopts.restart_prob = options.restart_prob;
+  dopts.hub_ratio = ctx.solver.effective_hub_ratio();
+  const auto dec = BuildDecomposition(ctx.graph, dopts, nullptr);
+  BEPI_CHECK(dec.ok());
+  ctx.sigma_min_h11 = SmallestSingularValue(dec->h11).value();
   ctx.h12_norm = MatrixNorm2(kern.h12.ToCsr());
   ctx.h31_norm = MatrixNorm2(kern.h31.ToCsr());
   ctx.h32_norm = MatrixNorm2(kern.h32.ToCsr());

@@ -120,7 +120,14 @@ TEST(Bepi, InfoIsConsistent) {
   EXPECT_EQ(info.n1 + info.n2 + info.n3, 300);
   EXPECT_EQ(info.n3, static_cast<index_t>(g.Deadends().size()));
   EXPECT_EQ(info.schur_nnz, solver.kernels()->schur.nnz());
-  EXPECT_EQ(info.h22_nnz, solver.kernels()->h22.nnz());
+  // The model keeps no H22; a decomposition of the same graph under the
+  // same options builds it again.
+  DecompositionOptions dopts;
+  dopts.restart_prob = solver.options().restart_prob;
+  dopts.hub_ratio = solver.effective_hub_ratio();
+  const auto dec = BuildDecomposition(g, dopts, nullptr);
+  ASSERT_TRUE(dec.ok());
+  EXPECT_EQ(info.h22_nnz, dec->h22.nnz());
   // |S| <= |H22| + |H21 H11^-1 H12| (Section 3.4 bound).
   EXPECT_LE(info.schur_nnz, info.h22_nnz + info.product_nnz);
   EXPECT_NE(solver.preconditioner(), nullptr);

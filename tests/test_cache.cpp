@@ -1,9 +1,8 @@
 // The serve-path hot-seed score cache (server/cache.hpp) and the
 // coalescing scheduler around it: hits replay the cold solve's bytes
-// exactly, eviction demotes-then-drops under byte pressure, fingerprint
-// rotation invalidates without a flush, concurrent readers/writers are
-// race-free (TSan), and batched/cached serve responses are bit-identical
-// to scalar serving.
+// exactly, eviction demotes-then-drops under byte pressure, concurrent
+// readers/writers are race-free (TSan), and batched/cached serve responses
+// are bit-identical to scalar serving.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -39,11 +38,10 @@ Vector DeterministicScores(index_t n, std::uint64_t seed) {
 TEST(ScoreCache, HitReplaysInsertedSolveExactly) {
   ScoreCache cache(std::uint64_t{1} << 20);
   const Vector scores = DeterministicScores(50, 42);
-  cache.Insert(/*fingerprint=*/7, /*seed=*/3, scores, /*iterations=*/12,
-               /*residual=*/1.25e-10);
+  cache.Insert(/*seed=*/3, scores, /*iterations=*/12, /*residual=*/1.25e-10);
 
   ScoreCacheHit hit;
-  ASSERT_TRUE(cache.Lookup(7, 3, /*topk=*/10, /*want_scores=*/true, &hit));
+  ASSERT_TRUE(cache.Lookup(3, /*topk=*/10, /*want_scores=*/true, &hit));
   EXPECT_EQ(hit.scores, scores);
   EXPECT_EQ(hit.iterations, 12);
   EXPECT_EQ(hit.residual, 1.25e-10);
@@ -52,16 +50,15 @@ TEST(ScoreCache, HitReplaysInsertedSolveExactly) {
   // A topk longer than the stored prefix is recomputed from the full
   // vector — still exactly TopK's answer.
   ScoreCacheHit wide;
-  ASSERT_TRUE(cache.Lookup(7, 3, 60, false, &wide));
+  ASSERT_TRUE(cache.Lookup(3, 60, false, &wide));
   EXPECT_EQ(wide.topk, TopK(scores, 60, 3));
   EXPECT_TRUE(wide.scores.empty());  // not requested
 
-  // Wrong fingerprint or seed misses.
+  // Another seed misses.
   ScoreCacheHit none;
-  EXPECT_FALSE(cache.Lookup(8, 3, 10, false, &none));
-  EXPECT_FALSE(cache.Lookup(7, 4, 10, false, &none));
+  EXPECT_FALSE(cache.Lookup(4, 10, false, &none));
   EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
   EXPECT_GT(cache.bytes(), 0u);
 }
@@ -70,9 +67,9 @@ TEST(ScoreCache, ZeroBudgetDisablesEverything) {
   ScoreCache cache(0);
   EXPECT_FALSE(cache.enabled());
   const Vector scores = DeterministicScores(20, 1);
-  cache.Insert(1, 2, scores, 3, 1e-9);
+  cache.Insert(2, scores, 3, 1e-9);
   ScoreCacheHit hit;
-  EXPECT_FALSE(cache.Lookup(1, 2, 5, false, &hit));
+  EXPECT_FALSE(cache.Lookup(2, 5, false, &hit));
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
@@ -85,7 +82,7 @@ TEST(ScoreCache, DemotesThenDropsUnderBytePressure) {
   std::uint64_t full_bytes = 0;
   {
     ScoreCache probe(std::uint64_t{1} << 30);
-    probe.Insert(1, 0, DeterministicScores(n, 0), 1, 1e-9);
+    probe.Insert(0, DeterministicScores(n, 0), 1, 1e-9);
     full_bytes = probe.bytes();
   }
   const std::uint64_t budget = full_bytes * 5 / 2;
@@ -93,7 +90,7 @@ TEST(ScoreCache, DemotesThenDropsUnderBytePressure) {
   std::vector<Vector> inserted;
   for (index_t seed = 1; seed <= 4; ++seed) {
     inserted.push_back(DeterministicScores(n, static_cast<std::uint64_t>(seed)));
-    cache.Insert(/*fingerprint=*/9, seed, inserted.back(), seed, 1e-9);
+    cache.Insert(seed, inserted.back(), seed, 1e-9);
   }
   EXPECT_LE(cache.bytes(), budget);
   EXPECT_EQ(cache.evictions(), 2u);
@@ -101,18 +98,17 @@ TEST(ScoreCache, DemotesThenDropsUnderBytePressure) {
   // The two newest entries are still full; the two oldest were demoted
   // to compact top-K prefixes.
   ScoreCacheHit hit;
-  ASSERT_TRUE(cache.Lookup(9, 4, 10, /*want_scores=*/true, &hit));
+  ASSERT_TRUE(cache.Lookup(4, 10, /*want_scores=*/true, &hit));
   EXPECT_EQ(hit.scores, inserted[3]);
-  ASSERT_TRUE(cache.Lookup(9, 3, 10, true, &hit));
+  ASSERT_TRUE(cache.Lookup(3, 10, true, &hit));
   EXPECT_EQ(hit.scores, inserted[2]);
 
   // Demoted entries refuse requests they can no longer answer exactly...
-  EXPECT_FALSE(cache.Lookup(9, 1, 10, /*want_scores=*/true, &hit));
-  EXPECT_FALSE(
-      cache.Lookup(9, 1, ScoreCache::kCompactTopK + 1, /*want_scores=*/false,
-                   &hit));
+  EXPECT_FALSE(cache.Lookup(1, 10, /*want_scores=*/true, &hit));
+  EXPECT_FALSE(cache.Lookup(1, ScoreCache::kCompactTopK + 1,
+                            /*want_scores=*/false, &hit));
   // ...but still serve any topk <= K as the exact TopK prefix.
-  ASSERT_TRUE(cache.Lookup(9, 2, 25, /*want_scores=*/false, &hit));
+  ASSERT_TRUE(cache.Lookup(2, 25, /*want_scores=*/false, &hit));
   EXPECT_EQ(hit.topk, TopK(inserted[1], 25, 2));
   EXPECT_EQ(hit.iterations, 2);
 
@@ -120,24 +116,11 @@ TEST(ScoreCache, DemotesThenDropsUnderBytePressure) {
   // shrink the working set with a tiny-budget cache.
   ScoreCache tiny(full_bytes + full_bytes / 2);  // fits one full + change
   for (index_t seed = 1; seed <= 3; ++seed) {
-    tiny.Insert(9, seed, DeterministicScores(n, static_cast<std::uint64_t>(seed)),
+    tiny.Insert(seed, DeterministicScores(n, static_cast<std::uint64_t>(seed)),
                 seed, 1e-9);
   }
   EXPECT_LE(tiny.bytes(), full_bytes + full_bytes / 2);
   EXPECT_GT(tiny.evictions(), 0u);
-}
-
-TEST(ScoreCache, InvalidateDropsEverythingAndCountsEvictions) {
-  ScoreCache cache(std::uint64_t{1} << 20);
-  for (index_t seed = 0; seed < 5; ++seed) {
-    cache.Insert(11, seed, DeterministicScores(40, 7), 1, 1e-9);
-  }
-  EXPECT_GT(cache.bytes(), 0u);
-  cache.Invalidate();
-  EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.evictions(), 5u);
-  ScoreCacheHit hit;
-  EXPECT_FALSE(cache.Lookup(11, 0, 5, false, &hit));
 }
 
 TEST(ScoreCache, ConcurrentReadersAndWritersAreRaceFree) {
@@ -153,9 +136,8 @@ TEST(ScoreCache, ConcurrentReadersAndWritersAreRaceFree) {
   std::thread writer([&] {
     for (int i = 0; i < 400; ++i) {
       const index_t seed = static_cast<index_t>(i % 8);
-      cache.Insert(5, seed, truth[static_cast<std::size_t>(seed)],
+      cache.Insert(seed, truth[static_cast<std::size_t>(seed)],
                    /*iterations=*/seed + 1, 1e-9);
-      if (i % 97 == 0) cache.Invalidate();
     }
   });
   std::vector<std::thread> readers;
@@ -165,7 +147,7 @@ TEST(ScoreCache, ConcurrentReadersAndWritersAreRaceFree) {
       for (int i = 0; i < 1500; ++i) {
         const index_t seed = static_cast<index_t>((i + t) % 8);
         const bool want_scores = (i % 3) == 0;
-        if (cache.Lookup(5, seed, 10, want_scores, &hit)) {
+        if (cache.Lookup(seed, 10, want_scores, &hit)) {
           ASSERT_EQ(hit.iterations, seed + 1);
           ASSERT_EQ(hit.topk,
                     TopK(truth[static_cast<std::size_t>(seed)], 10, seed));
@@ -179,39 +161,6 @@ TEST(ScoreCache, ConcurrentReadersAndWritersAreRaceFree) {
   writer.join();
   for (auto& r : readers) r.join();
   EXPECT_EQ(cache.hits() + cache.misses(), 4u * 1500u);
-}
-
-// --- Model fingerprint -------------------------------------------------
-
-TEST(ModelFingerprint, StableAcrossSaveLoadDistinctAcrossModels) {
-  Graph g = test::SmallRmat(80, 400, 0.2, 31);
-  BepiOptions options;
-  options.mode = BepiMode::kPreconditioned;
-  BepiSolver solver(options);
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  const std::uint64_t fp = ModelFingerprint(solver);
-
-  // Save/Load round trip reproduces the exact model — same fingerprint,
-  // so a server restarted from the shipped model file keys the same.
-  std::stringstream blob;
-  ASSERT_TRUE(solver.Save(blob).ok());
-  auto loaded = BepiSolver::Load(blob);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(ModelFingerprint(*loaded), fp);
-
-  // A different restart probability is a different function: lookups
-  // against the old fingerprint must miss.
-  BepiOptions other = options;
-  other.restart_prob = 0.25;
-  BepiSolver reweighted(other);
-  ASSERT_TRUE(reweighted.Preprocess(g).ok());
-  EXPECT_NE(ModelFingerprint(reweighted), fp);
-
-  // As is a structurally different graph under identical options.
-  Graph g2 = test::SmallRmat(90, 450, 0.2, 32);
-  BepiSolver other_graph(options);
-  ASSERT_TRUE(other_graph.Preprocess(g2).ok());
-  EXPECT_NE(ModelFingerprint(other_graph), fp);
 }
 
 // --- Serve-level fixture -----------------------------------------------

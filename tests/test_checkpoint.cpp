@@ -498,12 +498,13 @@ TEST_F(CheckpointTest, CheckpointedArtifactsMatchModelSectionsBytewise) {
   ASSERT_FALSE(schur.empty());
   EXPECT_EQ(payload(ReadCheckpoint(Dir(), "schur"), kCheckpointMagic, "schur"),
             schur);
-  for (const char* section : {"perm", "blocks"}) {
-    EXPECT_EQ(
-        payload(ReadCheckpoint(Dir(), "reorder"), kCheckpointMagic, section),
-        payload(model.str(), BepiSolver::kModelMagic, section))
-        << section;
-  }
+  EXPECT_EQ(payload(ReadCheckpoint(Dir(), "reorder"), kCheckpointMagic, "perm"),
+            payload(model.str(), BepiSolver::kModelMagic, "perm"));
+  // The model no longer stores the spoke block sizes; the checkpoint keeps
+  // them in the codec a v7 model used.
+  EXPECT_EQ(
+      payload(ReadCheckpoint(Dir(), "reorder"), kCheckpointMagic, "blocks"),
+      EncodeBlocks(solver.decomposition()));
   for (const char* section : {"l1_inv", "u1_inv"}) {
     EXPECT_EQ(
         payload(ReadCheckpoint(Dir(), "factor"), kCheckpointMagic, section),

@@ -342,14 +342,13 @@ TEST_F(ModelV3Test, SaveProducesVerifiableSections) {
   BepiSolver solver = MakeSolver();
   ASSERT_TRUE(solver.Preprocess(g).ok());
   const std::string model = SaveToString(solver);
-  EXPECT_EQ(model.rfind("BEPI-MODEL v7\n", 0), 0u);
+  EXPECT_EQ(model.rfind("BEPI-MODEL v8\n", 0), 0u);
   std::istringstream in(model);
   const IntegrityReport report = CheckIntegrity(in, "BEPI-MODEL");
   EXPECT_TRUE(report.overall.ok()) << report.overall.ToString();
   EXPECT_TRUE(report.manifest_ok);
-  // options + perm + 9 matrices + ILU(0) factor values + kernel path +
-  // spoke blocks.
-  EXPECT_EQ(report.sections.size(), 14u);
+  // options + perm + 7 matrices + ILU(0) factor values + kernel path.
+  EXPECT_EQ(report.sections.size(), 11u);
 }
 
 TEST_F(ModelV3Test, RoundTripIsBitwiseIdentical) {
@@ -399,7 +398,7 @@ TEST_F(ModelV3Test, ByteFlipInEachSectionIsDataLossNamingTheSection) {
   std::istringstream scan(model);
   const IntegrityReport report = CheckIntegrity(scan, "BEPI-MODEL");
   ASSERT_TRUE(report.overall.ok());
-  ASSERT_EQ(report.sections.size(), 14u);
+  ASSERT_EQ(report.sections.size(), 11u);
   for (const SectionCheck& check : report.sections) {
     if (check.length == 0) continue;
     // First payload byte: just past the "%section name len crc\n" header.
@@ -419,8 +418,9 @@ TEST_F(ModelV3Test, ByteFlipInEachSectionIsDataLossNamingTheSection) {
 }
 
 /// The retired text formats, rebuilt from a preprocessed solver's public
-/// state: v1/v2 as plain text (v1 without H11/H22), v3 as the same text
-/// pieces in checksummed sections.
+/// state: v1/v2 as plain text, v3 as the same text pieces in checksummed
+/// sections. The H11 and H22 that v2 and v3 also stored are left out: the
+/// loader rejects every text format by its header.
 std::string LegacyModelText(const BepiSolver& solver, int version) {
   const HubSpokeDecomposition& dec = solver.decomposition();
   std::ostringstream options;
@@ -439,10 +439,6 @@ std::string LegacyModelText(const BepiSolver& solver, int version) {
       {"h12", &kern.h12},       {"h21", &kern.h21},
       {"h31", &kern.h31},       {"h32", &kern.h32},
       {"schur", &kern.schur}};
-  if (version >= 2) {
-    matrices.push_back({"h11", &kern.h11});
-    matrices.push_back({"h22", &kern.h22});
-  }
   std::ostringstream out;
   if (version < 3) {
     out << "BEPI-MODEL v" << version << "\n" << options.str() << perm.str();
@@ -683,10 +679,6 @@ std::string WidenSection(const std::string& name,
     for (int i = 0; i < 3; ++i) w.U64();  // n1, n2, n3
     w.Width();
     w.Indices(n);
-  } else if (name == "blocks") {
-    const std::uint64_t count = w.U64();
-    w.Width();
-    w.Indices(count);
   } else if (name != "options" && name != "ilu0" && name != "kernel") {
     const std::uint64_t rows = w.U64();
     w.U64();  // cols
@@ -774,7 +766,7 @@ TEST_F(ModelV3Test, IluSkippedAtPreprocessLoadsUnpreconditioned) {
     std::istringstream scan(model);
     const IntegrityReport report = CheckIntegrity(scan, "BEPI-MODEL");
     ASSERT_TRUE(report.overall.ok());
-    EXPECT_EQ(report.sections.size(), 13u);  // no "ilu0" section
+    EXPECT_EQ(report.sections.size(), 10u);  // no "ilu0" section
   }
   std::istringstream in(model);
   auto loaded = BepiSolver::Load(in);

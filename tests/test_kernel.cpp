@@ -303,8 +303,8 @@ TEST_F(KernelTest, PreprocessedBytesCountsIndexWidth) {
   // them, 4 bytes saved per row pointer and per column index.
   const DecompositionKernels& c = *compact.kernels();
   std::uint64_t saved = 0;
-  for (const KernelCsr* m : {&c.l1_inv, &c.u1_inv, &c.h12, &c.h21, &c.h31,
-                             &c.h32, &c.schur, &c.h11, &c.h22}) {
+  for (const KernelCsr* m :
+       {&c.l1_inv, &c.u1_inv, &c.h12, &c.h21, &c.h31, &c.h32, &c.schur}) {
     saved += 4 * static_cast<std::uint64_t>(m->rows() + 1 + m->nnz());
   }
   EXPECT_EQ(wide.kernels()->ByteSize() - c.ByteSize(), saved);

@@ -1,7 +1,7 @@
-// The mapped model format (v5 on, now v7): the hardware CRC32C path, the
-// mapped load, what a load rejects (older formats, misplaced arrays,
-// nonzero pads, flipped bits, files that are no model at all), and a
-// served model replaced by rename.
+// The mapped model format (v5 on, now v8): the hardware CRC32C path, the
+// mapped load, what a load rejects (older formats, sections v8 dropped,
+// misplaced arrays, nonzero pads, flipped bits, files that are no model at
+// all), and a served model replaced by rename.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -141,12 +141,13 @@ TEST_F(ModelV5Test, StreamLoadReadsTheRestIntoAlignedBytes) {
 }
 
 TEST_F(ModelV5Test, RejectsV4HeaderNamingPreprocess) {
-  // v4 and v5 (f64 ILU(0) factors in combined L\U storage) and v6 (level
-  // schedules in the kernel section) alike.
+  // v4 and v5 (f64 ILU(0) factors in combined L\U storage), v6 (level
+  // schedules in the kernel section) and v7 (H11, H22 and the spoke block
+  // sizes) alike.
   const BepiSolver solver = Preprocessed(test::SmallRmat(60, 240, 0.2, 5107));
   const std::string current = SaveToString(solver);
-  ASSERT_EQ(current.rfind("BEPI-MODEL v7\n", 0), 0u);
-  for (const char version : {'4', '5', '6'}) {
+  ASSERT_EQ(current.rfind("BEPI-MODEL v8\n", 0), 0u);
+  for (const char version : {'4', '5', '6', '7'}) {
     std::string model = current;
     model[std::strlen("BEPI-MODEL v")] = version;
     auto loaded = BepiSolver::Load(model);
@@ -156,7 +157,37 @@ TEST_F(ModelV5Test, RejectsV4HeaderNamingPreprocess) {
     EXPECT_NE(message.find(std::string("v") + version), std::string::npos)
         << message;
     EXPECT_NE(message.find("preprocess"), std::string::npos) << message;
+    EXPECT_NE(message.find("reads v8"), std::string::npos) << message;
   }
+}
+
+TEST_F(ModelV5Test, RejectsH22SectionAsUnknown) {
+  // v8 dropped the h11, h22 and blocks sections. A v8 header over a model
+  // that still carries one (here h22, after schur as a v7 writer put it)
+  // is rejected by the section's name, checksums notwithstanding.
+  const BepiSolver solver = Preprocessed(test::SmallRmat(60, 240, 0.2, 5107));
+  const std::string current = SaveToString(solver);
+  auto reader = SectionReader::Open(current, BepiSolver::kModelMagic);
+  ASSERT_TRUE(reader.ok());
+  std::ostringstream out;
+  SectionWriter writer(out, BepiSolver::kModelMagic);
+  for (;;) {
+    auto next = reader->Next();
+    ASSERT_TRUE(next.ok());
+    if (!next->has_value()) break;
+    ASSERT_TRUE(writer.Add((*next)->name, (*next)->payload).ok());
+    // S has H22's shape and encoding.
+    if ((*next)->name == "schur") {
+      ASSERT_TRUE(writer.Add("h22", (*next)->payload).ok());
+    }
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  auto loaded = BepiSolver::Load(out.str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().ToString().find("unknown section 'h22'"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST_F(ModelV5Test, EmptyFileAndDirectoryAreIoErrors) {

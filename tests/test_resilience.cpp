@@ -1,6 +1,6 @@
 // Resilience layer tests: FaultInjector semantics, solver breakdown
 // detection, and the BePI degradation chain
-// ILU(0)+GMRES -> Jacobi+GMRES -> BiCGSTAB -> global power iteration.
+// ILU(0)+GMRES -> Jacobi+GMRES -> BiCGSTAB -> power iteration on S.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -333,7 +333,6 @@ TEST_F(DegradationChainTest, AllKrylovHopsFailFallsToPowerIteration) {
   FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
-  ASSERT_TRUE(SupportsGlobalPowerFallback(*solver.kernels()));
   QueryStats stats;
   auto r = solver.Query(19, &stats);
   ASSERT_TRUE(r.ok());
@@ -378,6 +377,9 @@ TEST_F(DegradationChainTest, FallbacksDisabledSurfaceNotConverged) {
 }
 
 TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
+  // The power stage reads only S and the back-substitution matrices, all
+  // in the model: a loaded solver's power answer is the preprocessed one's,
+  // bit for bit.
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
   std::stringstream stream;
@@ -385,13 +387,17 @@ TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
   EXPECT_EQ(stream.str().rfind(BepiSolver::kModelMagic, 0), 0u);
   auto loaded = BepiSolver::Load(stream);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(SupportsGlobalPowerFallback(*loaded->kernels()));
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
   FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
-  QueryStats stats;
+  QueryStats want_stats, stats;
+  auto want = solver.Query(23, &want_stats);
   auto r = loaded->Query(23, &stats);
+  ASSERT_TRUE(want.ok());
   ASSERT_TRUE(r.ok());
+  EXPECT_EQ(want_stats.report.attempts.back().stage, "power");
   EXPECT_EQ(stats.report.attempts.back().stage, "power");
+  EXPECT_EQ(stats.iterations, want_stats.iterations);
+  EXPECT_EQ(*r, *want);
   EXPECT_LT(DistL1(*r, Reference(23)), 1e-6);
 }
 
@@ -452,7 +458,7 @@ TEST_F(DeadendGraphTest, MostlyDeadendGraphSurvivesFullChain) {
 }
 
 // ---------------------------------------------------------------------------
-// ResilientSchurSolver / GlobalPowerFallback argument handling
+// ResilientSchurSolver argument handling
 // ---------------------------------------------------------------------------
 
 using ResilientApiTest = ResilienceTest;
@@ -466,18 +472,6 @@ TEST_F(ResilientApiTest, ShapeMismatchIsInvalidArgument) {
   SchurColumn column;
   column.b = &wrong;
   EXPECT_EQ(solver.Solve({&column, 1}).code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(ResilientApiTest, PowerFallbackRequiresV2Blocks) {
-  // Four hubs and a Schur complement, but no H11/H22 blocks.
-  DecompositionKernels kern;
-  kern.schur = KernelCsr::Own(CsrMatrix::Identity(4), KernelPath::kWide);
-  Vector cq(4, 0.0);
-  SchurColumn column;
-  EXPECT_EQ(GlobalPowerFallback(kern, cq, ResilientSolveOptions{}, &column)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ResilientApiTest, SolveWithoutIluStartsAtJacobi) {

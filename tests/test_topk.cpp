@@ -14,6 +14,7 @@
 #include "common/faultinject.hpp"
 #include "common/parallel.hpp"
 #include "core/bepi.hpp"
+#include "core/iterative.hpp"
 #include "core/topk.hpp"
 #include "engine/mc/mc.hpp"
 #include "solver/dense_lu.hpp"
@@ -40,32 +41,21 @@ class TopKTest : public ::testing::Test {
 };
 
 TEST_F(TopKTest, BoundTablesContainTrueScores) {
-  // The score bound coefficients against the errors they bound: perturb
-  // each seed's exact hub scores r2 by dr2 and back-substitute. The spoke
-  // and deadend scores may move by no more than the coefficients allow,
-  // and every true score must sit inside ScoreErrorBound of the perturbed
-  // answer. dr2 = +delta everywhere keeps dr1 = -H11^{-1} H12 dr2 of one
-  // sign (H11^{-1} and -H12 are nonnegative), the nearly tight case;
-  // random signs are the typical one.
+  // ScoreErrorBound against the errors it bounds: perturb each seed's
+  // exact hub scores r2 by dr2 and back-substitute. Every true score, hub,
+  // spoke and deadend alike, must sit inside the bound that the perturbed
+  // iterate's Schur residual gives. dr2 = +delta everywhere keeps
+  // dr1 = -H11^{-1} H12 dr2 of one sign (H11^{-1} and -H12 are
+  // nonnegative), the nearly tight case; random signs are the typical one.
   const Graph g = test::SmallRmat(250, 1400, 0.2, 21);
   const DecompositionOptions dopts;
   const real_t c = dopts.restart_prob;
   auto built = BuildDecomposition(g, dopts, nullptr);
   ASSERT_TRUE(built.ok());
-  const HubSpokeDecomposition dec = std::move(built).value();
-  HubSpokeDecomposition moved = dec;
-  const DecompositionKernels kern =
-      TakeDecompositionKernels(&moved, KernelPath::kAuto);
-  const ScoreBoundCoefficients coeff = BuildScoreBoundCoefficients(dec, kern);
-  ASSERT_GT(coeff.r1_coeff_max, 0.0);
-  ASSERT_GT(coeff.a31_max, 0.0);
-  ASSERT_GT(coeff.a32_max, 0.0);
+  const HubSpokeDecomposition& dec = *built;
   auto s_lu = DenseLu::Factor(dec.schur.ToDense());
   ASSERT_TRUE(s_lu.ok());
 
-  // Computed differences carry rounding of the scores themselves, far
-  // below this relative pad; the nearly tight case needs it.
-  const real_t pad = 1.0 + 1e-9;
   const real_t delta = 1e-3;
   Rng rng(21);
   for (index_t seed : {0, 7, 100, 249}) {
@@ -97,18 +87,23 @@ TEST_F(TopKTest, BoundTablesContainTrueScores) {
       dec.schur.MultiplyAdd(-1.0, r2p, &rho);
       real_t rho_norm1 = 0.0;
       for (real_t v : rho) rho_norm1 += std::abs(v);
-      const real_t bound = ScoreErrorBound(coeff, rho_norm1, c);
+      const real_t bound = ScoreErrorBound(rho_norm1, c);
 
+      // The derivation bounds the error's 1-norm (||H^{-1}||_1 ||rho||_1),
+      // which covers every score's error at once.
       real_t err1 = 0.0, err3 = 0.0;
+      real_t err_norm1 = delta * static_cast<real_t>(r2.size());
       for (std::size_t i = 0; i < r1.size(); ++i) {
         err1 = std::max(err1, std::abs(r1p[i] - r1[i]));
+        err_norm1 += std::abs(r1p[i] - r1[i]);
       }
       for (std::size_t i = 0; i < r3.size(); ++i) {
         err3 = std::max(err3, std::abs(r3p[i] - r3[i]));
+        err_norm1 += std::abs(r3p[i] - r3[i]);
       }
       EXPECT_GT(err1, 0.0);
-      EXPECT_LE(err1, coeff.r1_coeff_max * delta * pad);
-      EXPECT_LE(err3, (coeff.a31_max * err1 + coeff.a32_max * delta) * pad);
+      EXPECT_GT(err3, 0.0);
+      EXPECT_LE(err_norm1, bound);
       EXPECT_LE(delta, bound);
       EXPECT_LE(err1, bound);
       EXPECT_LE(err3, bound);
@@ -488,12 +483,18 @@ TEST_F(TopKTest, McWarmStartMatchesDefaultAnswerWithinTolerance) {
 
 TEST_F(TopKTest, DenseFallbackStillAnswersWithBound) {
   // Degrade every Krylov stage of the Schur chain: the query falls to the
-  // power stage, which produces the full vector, so the top-k answer is
-  // that vector ranked and still carries an explicit bound.
+  // power stage, whose Schur iterate back-substitutes like a Krylov one,
+  // so the top-k answer still carries the residual bound. The truth is a
+  // power iteration on the raw graph, which shares nothing with S.
   const Graph g = test::SmallRmat(250, 1200, 0.2, 13);
   BepiSolver solver{BepiOptions{}};
   ASSERT_TRUE(solver.Preprocess(g).ok());
   ASSERT_GT(solver.info().n2, 0) << "graph must decompose with hubs";
+  RwrOptions truth_options;
+  truth_options.tolerance = 1e-12;
+  truth_options.max_iterations = 100000;
+  PowerSolver truth_solver(truth_options);
+  ASSERT_TRUE(truth_solver.Preprocess(g).ok());
   // Pick a seed whose Schur solve actually iterates: a deadend (or a
   // spoke block disconnected from the hubs) has q2~ = 0 and exits before
   // any fault site, which would leave nothing to degrade.
@@ -507,6 +508,12 @@ TEST_F(TopKTest, DenseFallbackStillAnswersWithBound) {
     }
   }
   ASSERT_GE(seed, 0);
+  const auto truth = truth_solver.Query(seed);
+  ASSERT_TRUE(truth.ok());
+  const auto true_error = [&](index_t node, real_t score) {
+    return std::abs(score - (*truth)[static_cast<std::size_t>(node)]);
+  };
+
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
   FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   TopKOptions opts;
@@ -515,17 +522,55 @@ TEST_F(TopKTest, DenseFallbackStillAnswersWithBound) {
   opts.eps = 1e-3;
   QueryStats stats;
   const auto got = solver.QueryTopK(seed, opts, &stats);
+  // eps 1e-8 over every score: a bound that holds must also be small.
+  TopKOptions tight = opts;
+  tight.k = g.num_nodes();
+  tight.eps = 1e-8;
+  QueryStats tight_stats;
+  const auto tight_got = solver.QueryTopK(seed, tight, &tight_stats);
+  // The dense form of an eps request, answered through Solve at 1 and 4
+  // threads.
+  QueryControl dense_eps;
+  dense_eps.eps = 1e-8;
+  const QueryRequest dense{seed, nullptr, {}, dense_eps};
+  std::vector<QueryResult> dense_at;
+  for (int threads : {1, 4}) {
+    ASSERT_TRUE(ParallelContext::Global().SetNumThreads(threads).ok());
+    auto solved = solver.Solve({&dense, 1});
+    ASSERT_TRUE(solved.ok());
+    dense_at.push_back(std::move(solved->front()));
+  }
   FaultInjector::Global().Reset();
+
   ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(stats.report.attempts.back().stage, "power");
   EXPECT_EQ(got->entries.size(), 6u);
   EXPECT_GT(got->error_bound, 0.0);
-  // The faulted-stage answer still matches a clean dense solve's top-k
-  // node set within the reported bound.
-  const auto clean = solver.Query(seed);
-  ASSERT_TRUE(clean.ok());
   for (const auto& [node, score] : got->entries) {
-    EXPECT_LE(std::abs(score - (*clean)[static_cast<std::size_t>(node)]),
-              got->error_bound + 1e-9);
+    EXPECT_LE(true_error(node, score), got->error_bound) << "node " << node;
+  }
+
+  ASSERT_TRUE(tight_got.ok()) << tight_got.status().ToString();
+  EXPECT_EQ(tight_stats.report.attempts.back().stage, "power");
+  ASSERT_EQ(static_cast<index_t>(tight_got->entries.size()), g.num_nodes());
+  EXPECT_LE(tight_got->error_bound, 1e-5);
+  for (const auto& [node, score] : tight_got->entries) {
+    EXPECT_LE(true_error(node, score), tight_got->error_bound)
+        << "node " << node;
+  }
+
+  for (const QueryResult& r : dense_at) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.stats.report.attempts.back().stage, "power");
+  }
+  EXPECT_EQ(dense_at[0].scores, dense_at[1].scores);
+  EXPECT_EQ(dense_at[0].stats.error_bound, dense_at[1].stats.error_bound);
+  EXPECT_LE(dense_at[0].stats.error_bound, 1e-5);
+  for (index_t node = 0; node < g.num_nodes(); ++node) {
+    EXPECT_LE(true_error(node,
+                         dense_at[0].scores[static_cast<std::size_t>(node)]),
+              dense_at[0].stats.error_bound)
+        << "node " << node;
   }
 }
 

@@ -97,7 +97,7 @@ const CommandHelp kCommands[] = {
      "           [--k=0.2] [--c=0.05] [--tol=1e-9] [--checkpoint-dir=DIR]",
      "bepi_cli preprocess — run BePI preprocessing, save a model file\n"
      "  --graph=FILE          input edge list (required)\n"
-     "  --model=FILE          output model path, format v7: raw arrays in\n"
+     "  --model=FILE          output model path, format v8: raw arrays in\n"
      "                        checksummed sections (required)\n"
      "  --mode=MODE           bepi (ILU(0)+GMRES, default), bepi-s, bepi-b\n"
      "  --k=X                 hub ratio; 0 = the mode's paper default\n"
@@ -309,7 +309,7 @@ const CommandHelp kCommands[] = {
      "bepi_cli verify-model — per-section integrity fsck of a model file\n"
      "  --model=FILE     model path (required)\n"
      "maps the model once and checks every section against its stored\n"
-     "CRC32C (a v1-v6 model fails with the loader's error: re-run\n"
+     "CRC32C (a v1-v7 model fails with the loader's error: re-run\n"
      "`preprocess`). Then loads the model from the same mapping, so a\n"
      "model whose arrays fail validation exits 1 too.\n"
      "example:\n"
@@ -710,7 +710,7 @@ int CmdVerifyModel(const Flags& flags) {
   if (!mapped.ok()) return Fail(mapped.status());
   const IntegrityReport report =
       CheckIntegrity((*mapped)->view(), BepiSolver::kModelMagic);
-  // Not a v7 header: the loader names the format version (or the
+  // Not a v8 header: the loader names the format version (or the
   // stranger) and says what to do about it.
   if (report.magic.empty()) return Fail(BepiSolver::Load(*mapped).status());
   std::printf("%s: %s, %zu sections\n", model_path.c_str(),
@@ -1088,10 +1088,10 @@ int CmdCrosscheck(const Flags& flags) {
     if (!exact.ok()) return Fail(exact.status());
     auto est = engine.EstimateSeed(seed, oracle);
     if (!est.ok()) return Fail(est.status());
-    // The solver side's own error contribution: a converged Krylov/power
-    // attempt reports a residual ~tol; an MC terminal attempt reports its
-    // confidence half-width. With --query-eps the truncated solve's
-    // propagated per-score bound takes their place — so a dishonest
+    // The solver side's own error contribution: a converged Schur stage
+    // (Krylov or power) reports a residual ~tol; an MC terminal attempt
+    // reports its confidence half-width. With --query-eps the truncated
+    // solve's per-score bound takes their place — so a dishonest
     // eps-mode bound fails this check exactly like a wrong engine.
     const real_t solver_bound =
         query_eps > 0.0 && stats.error_bound > 0.0 ? stats.error_bound

@@ -51,7 +51,8 @@
 #     the top of the same seed's full `--dump-scores` dump across
 #     --kernel=compact/wide and --threads=1/4 on two example graphs,
 #     crosscheck --query-eps verifies the eps-mode per-score bound
-#     against the MC oracle, and a fully faulted chain must still answer
+#     against the MC oracle, clean and with the Krylov stages faulted so
+#     the power stage answers, and a fully faulted chain must still answer
 #     a top-k query with an explicit bound;
 #   * observability: a request_id-tagged flood scraped mid-flight with the
 #     metrics verb and re-rendered offline via metrics-export (both must
@@ -493,6 +494,14 @@ EOF
   "$cli" crosscheck --graph="$work/spoke.txt" --seeds=2 --walks=100000 \
     --query-eps=1e-4 >/dev/null
   echo "    eps-mode per-score bound verified against the MC oracle"
+  # The same check with the Krylov stages faulted: the power stage answers
+  # with a Schur iterate, and the bound of its back-substituted answer
+  # must hold too.
+  BEPI_FAULT_INJECT=gmres.stagnate,bicgstab.breakdown "$cli" crosscheck \
+    --graph="$work/spoke.txt" --seeds=2 --walks=100000 --query-eps=1e-4 \
+    >"$work/power_crosscheck.out"
+  grep -q -E '^[0-9]+ +power ' "$work/power_crosscheck.out"
+  echo "    power-stage eps bound verified against the MC oracle"
 
   # 3. A fully faulted chain must still answer a top-k query: the MC
   # terminal stage produces the full vector, the CLI sorts it, and eps
