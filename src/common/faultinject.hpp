@@ -28,10 +28,12 @@ namespace fault_sites {
 inline constexpr char kIluFactor[] = "ilu0.factor";        // forced zero pivot
 inline constexpr char kGmresStagnate[] = "gmres.stagnate"; // forced stagnation
 inline constexpr char kGmresNan[] = "gmres.nan";           // poisons a Krylov vector
+// The BiCGSTAB sites fire only where BiCGSTAB runs: the ablation's Krylov
+// stage (BepiInnerSolver::kBicgstab), never a GMRES chain.
 inline constexpr char kBicgstabBreakdown[] = "bicgstab.breakdown";
 inline constexpr char kBicgstabNan[] = "bicgstab.nan";
 inline constexpr char kEdgeListRead[] = "graph.io.read";   // mid-stream IO error
-// Forces the power stage (degradation-chain hop 4, power iteration on S)
+// Forces the power stage (the chain's second stage, power iteration on S)
 // to exhaust its budget without converging, driving queries down to the
 // Monte-Carlo terminal stage.
 inline constexpr char kPowerStall[] = "power.stall";

@@ -119,11 +119,10 @@ Status BepiSolver::Preprocess(const Graph& g, CheckpointManager* checkpoints) {
     Result<Ilu0> ilu = Ilu0::Factor(kernels_->schur);
     if (ilu.ok()) {
       ilu_ = std::move(ilu).value();
-    } else if (options_.enable_fallbacks &&
-               ilu.status().code() == StatusCode::kFailedPrecondition) {
-      // Breakdown (zero/tiny pivot): degrade to unpreconditioned queries
-      // rather than failing preprocessing; the query-phase chain starts at
-      // the Jacobi hop.
+    } else if (ilu.status().code() == StatusCode::kFailedPrecondition) {
+      // Breakdown (zero/tiny pivot): continue without the ILU(0) factors
+      // rather than failing preprocessing; the query-phase chain then
+      // starts at jacobi+gmres.
       BEPI_LOG(Warning) << "ILU(0) breakdown, continuing unpreconditioned: "
                         << ilu.status().ToString();
       info_.ilu_skipped = true;
@@ -426,7 +425,7 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
   // stream zeros. Columns share passes over the matrices in the Schur
   // solve and the dense back-substitution.
   std::vector<SlicedVector> cq(k);
-  std::vector<Vector> b(k), warm_x0(k);
+  std::vector<Vector> b(k);
   std::vector<SchurColumn> columns(k);
   for (std::size_t j = 0; j < k; ++j) {
     cq[j] = dec_.SliceRestart(valid[j]->seed, valid[j]->personalization,
@@ -444,7 +443,6 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
     SchurColumn& c = columns[j];
     c.b = &b[j];
     c.tol = eps > 0.0 ? eps : options_.tolerance;
-    if (McWarmStart(control, cq[j], &warm_x0[j])) c.x0 = &warm_x0[j];
     c.cancel = control.cancel;
     c.allow_partial = control.allow_partial;
     c.request_id = control.request_id;
@@ -455,7 +453,6 @@ Result<std::vector<QueryResult>> BepiSolver::SolvePanel(
                                   mc_fallback_options_};
     const ResilientSolveOptions chain{options_.max_iterations,
                                       options_.gmres_restart,
-                                      options_.enable_fallbacks,
                                       options_.inner_solver};
     BEPI_RETURN_IF_ERROR(ResilientSchurSolver(kernels_->schur,
                                               preconditioner(), chain,
@@ -557,39 +554,6 @@ real_t BepiSolver::EpsErrorBound(const Vector& q2_tilde,
   real_t norm1 = 0.0;
   for (real_t v : rho) norm1 += std::abs(v);
   return ScoreErrorBound(norm1, options_.restart_prob);
-}
-
-bool BepiSolver::McWarmStart(const QueryControl& control,
-                             const SlicedVector& cq, Vector* x0) const {
-  if (!control.warm_start_mc || mc_ == nullptr || dec_.n2 == 0) return false;
-  TraceSpan warm_span("query.mc_warm_start");
-  // Recover q in original ids from the scaled slices and run a
-  // deliberately small walk budget: the estimate only has to land GMRES
-  // inside the basin where one restart cycle finishes the job, not meet a
-  // confidence target.
-  Vector q = Unslice(cq, inverse_perm_);
-  for (real_t& v : q) v *= static_cast<real_t>(1.0) / options_.restart_prob;
-  McOptions mo;
-  mo.restart_prob = options_.restart_prob;
-  mo.walks = std::min<std::uint64_t>(mc_fallback_options_.walks, 20'000);
-  mo.delta = mc_fallback_options_.delta;
-  mo.seed = mc_fallback_options_.seed;
-  mo.cancel = control.cancel;
-  mo.allow_partial = true;
-  Result<McEstimate> est = mc_->EstimateVector(q, mo);
-  if (!est.ok()) return false;
-  const Vector& scores = est.value().scores;
-  const index_t n1 = dec_.n1, n2 = dec_.n2;
-  x0->assign(static_cast<std::size_t>(n2), 0.0);
-  for (index_t j = 0; j < n2; ++j) {
-    (*x0)[static_cast<std::size_t>(j)] = scores[static_cast<std::size_t>(
-        inverse_perm_[static_cast<std::size_t>(n1 + j)])];
-  }
-  if (MetricsEnabled()) {
-    BEPI_METRIC_COUNTER(warm, "query.mc_warm_starts");
-    warm->Increment();
-  }
-  return true;
 }
 
 Status BepiSolver::AttachMcFallback(const McWalkEngine* engine,

@@ -46,11 +46,6 @@ struct BepiOptions : RwrOptions {
   /// Hub selection strategy (kRandom is the ablation control).
   SlashBurnOptions::HubSelection hub_selection =
       SlashBurnOptions::HubSelection::kDegree;
-  /// Run the degradation chain (core/resilient.hpp) when the primary
-  /// Schur solve fails, ending in power iteration on S and, when armed,
-  /// Monte-Carlo walks. When false a failed solve surfaces as Status
-  /// kNotConverged (the pre-resilience behavior, kept for ablations).
-  bool enable_fallbacks = true;
   /// Cooperative cancellation for *preprocessing* (the CLI links the
   /// SIGINT/SIGTERM shutdown flag here). Checked at stage boundaries; with
   /// checkpointing enabled the current stage is committed before the
@@ -88,12 +83,6 @@ struct QueryControl {
   /// bound crosscheck verifies against the MC oracle). 0 leaves the solve
   /// bit-identical to the default path.
   real_t eps = 0.0;
-  /// Seed the Schur solve's initial iterate from a cheap Monte-Carlo
-  /// estimate (the attached AttachMcFallback engine) instead of zero —
-  /// ROADMAP item 3's warm start, off by default because a nonzero x0
-  /// changes the iterate sequence (fewer restart cycles, different bits).
-  /// Ignored when no MC engine is attached.
-  bool warm_start_mc = false;
 };
 
 /// One query of BepiSolver::Solve: a restart distribution, an output shape
@@ -140,7 +129,7 @@ struct BepiPreprocessInfo {
   double schur_seconds = 0.0;
   double ilu_seconds = 0.0;
   /// True when ILU(0) factorization of S broke down and preprocessing
-  /// continued without the preconditioner (enable_fallbacks only).
+  /// continued without the preconditioner.
   bool ilu_skipped = false;
   // Checkpointing overhead (zero when preprocessing ran without a
   // CheckpointManager): payload encoding, framing, write and fsync. Lets
@@ -185,10 +174,9 @@ class BepiSolver final : public RwrSolver {
   /// and reassembly, each over all requests at once (a single query is a
   /// batch of one). Every valid request is one column of one degradation-
   /// chain solve (core/resilient.hpp) under its own QueryControl: an eps
-  /// request carries its own tolerance, an MC-warm-started one its own
-  /// initial iterate. Each GMRES stage solves its columns together and
-  /// streams S once per step for all of them (sparse/kernel.hpp SpMM
-  /// panels) — the bandwidth amortization the serve batcher
+  /// request carries its own tolerance. A GMRES stage solves its columns
+  /// together and streams S once per step for all of them (sparse/
+  /// kernel.hpp SpMM panels) — the bandwidth amortization the serve batcher
   /// (server/server.hpp) is built on — and the columns a Krylov stage
   /// answered back-substitute as one panel, top-k ones included; a top-k
   /// request then ranks its vector with TopK and returns only the ranking.
@@ -311,12 +299,6 @@ class BepiSolver final : public RwrSolver {
   /// `q2_tilde` and returns the sup-norm score bound of the answer
   /// back-substituted from it (core/topk.hpp ScoreErrorBound).
   real_t EpsErrorBound(const Vector& q2_tilde, const Vector& r2) const;
-
-  /// Cheap MC estimate of the hub slice used as the GMRES initial iterate
-  /// of the restart `cq` (QueryControl::warm_start_mc). Returns false (x0
-  /// untouched) when no engine is attached or the estimate fails.
-  bool McWarmStart(const QueryControl& control, const SlicedVector& cq,
-                   Vector* x0) const;
 
   /// The tail of Preprocess and of every Load: inverts the permutation and
   /// publishes the kernel path (log line and model.kernel_path gauge).

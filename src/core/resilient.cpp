@@ -66,27 +66,20 @@ void Record(TraceSpan* span, const SolveAttempt& attempt,
   report->final_outcome = attempt.outcome;
 }
 
-/// The ordered stage list for this configuration.
+/// The chain for this configuration: the model's Krylov stage, then power
+/// on S, then the walks.
 std::vector<Stage> Chain(bool has_ilu, const ResilientSolveOptions& options) {
-  std::vector<Stage> stages;
+  Stage krylov = has_ilu ? Stage::kIluGmres : Stage::kJacobiGmres;
   if (options.inner_solver == BepiInnerSolver::kBicgstab) {
-    stages = {has_ilu ? Stage::kIluBicgstab : Stage::kBicgstab, Stage::kPower,
-              Stage::kMc};
-  } else {
-    if (has_ilu) stages.push_back(Stage::kIluGmres);
-    stages.insert(stages.end(), {Stage::kJacobiGmres, Stage::kBicgstab,
-                                 Stage::kPower, Stage::kMc});
+    krylov = has_ilu ? Stage::kIluBicgstab : Stage::kBicgstab;
   }
-  if (!options.enable_fallbacks) stages.resize(1);
-  return stages;
+  return {krylov, Stage::kPower, Stage::kMc};
 }
 
 /// Why `stage` left a column unanswered.
-Status StageFailed(Stage stage, SolveOutcome outcome, bool enable_fallbacks) {
-  return Status::NotConverged(
-      std::string("Schur solve (") + StageName(stage) + ") ended with " +
-      SolveOutcomeName(outcome) +
-      (enable_fallbacks ? "" : " and fallbacks are disabled"));
+Status StageFailed(Stage stage, SolveOutcome outcome) {
+  return Status::NotConverged(std::string("Schur solve (") + StageName(stage) +
+                              ") ended with " + SolveOutcomeName(outcome));
 }
 
 /// The walk stage: q in original ids recovered from the column's reordered
@@ -182,17 +175,17 @@ Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
         c->x = std::move(*x);
         return true;
       }
-      c->status = StageFailed(stage, stats.outcome, options_.enable_fallbacks);
+      c->status = StageFailed(stage, stats.outcome);
       unanswered.push_back(c);
       return false;
     };
     if (stage == Stage::kIluGmres || stage == Stage::kJacobiGmres) {
-      // One Gmres call over every column still unanswered.
+      // One Gmres call over every column, each from a zero initial iterate.
       TraceSpan hop_span("schur.hop");
       Timer hop_timer;
-      // Jacobi: the Schur complement of an RWR system is a nonsingular
-      // M-matrix, so its diagonal is safe to invert; this stage survives
-      // any ILU(0) breakdown or ILU-induced NaN.
+      // Jacobi when the model has no ILU(0) factors: the Schur complement
+      // of an RWR system is a nonsingular M-matrix, so its diagonal is
+      // safe to invert.
       std::optional<JacobiPreconditioner> jacobi;
       if (stage == Stage::kJacobiGmres) jacobi.emplace(schur_);
       const Preconditioner* m =
@@ -204,7 +197,6 @@ Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
       std::vector<GmresColumn> solves(pending.size());
       for (std::size_t j = 0; j < pending.size(); ++j) {
         solves[j].b = pending[j]->b;
-        solves[j].x0 = pending[j]->x0;
         solves[j].tol = pending[j]->tol;
         solves[j].cancel = pending[j]->cancel;
       }
@@ -226,10 +218,9 @@ Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
         if (settle(c, solves[j].stats, &solves[j].x)) c->coalesced = coalesced;
       }
     } else if (stage != Stage::kMc) {
-      // BiCGSTAB — a different Krylov recurrence that does not share
-      // GMRES's restart-stagnation failure mode (preconditioned only as the
-      // ablation's first stage) — or power iteration x <- q2~ + (I - S) x,
-      // which needs no preconditioner and no Krylov recurrence at all.
+      // The ablation's BiCGSTAB stage (ILU(0)-preconditioned when the
+      // model has factors) or power iteration x <- q2~ + (I - S) x, which
+      // needs no preconditioner and no Krylov recurrence at all.
       const auto solve = [&](const SchurColumn& c,
                              SolveStats* stats) -> Result<Vector> {
         if (stage == Stage::kPower) {
@@ -244,8 +235,7 @@ Status ResilientSchurSolver::Solve(std::span<SchurColumn> columns,
         bi.tol = c.tol;
         bi.max_iters = options_.max_iters;
         bi.cancel = c.cancel;
-        return Bicgstab(op, *c.b, bi, stats,
-                        stage == Stage::kIluBicgstab ? ilu_ : nullptr);
+        return Bicgstab(op, *c.b, bi, stats, ilu_);
       };
       for (SchurColumn* c : pending) {
         TraceSpan hop_span("schur.hop");

@@ -4,40 +4,40 @@
 // the Schur complement S. In a serving system that solve must never abort
 // or silently hand back an unconverged vector: ILU(0) can break down on
 // degenerate graphs, GMRES can stagnate, and NaN/Inf can propagate from
-// corrupted inputs. ResilientSchurSolver runs the solve as an ordered
-// degradation chain — each stage trades speed for robustness:
+// corrupted inputs. ResilientSchurSolver runs the solve as a three-stage
+// degradation chain, each stage trading speed for robustness:
 //
-//   1. ILU(0)+GMRES        (the paper's method; fastest)
-//   2. Jacobi+GMRES        (survives ILU breakdown)
-//   3. BiCGSTAB, no precond (different Krylov recurrence; survives GMRES
-//                            stagnation)
-//   4. power iteration     (x <- q2~ + (I - S) x on S itself; always
-//                           converges, slowest of the Schur stages)
-//   5. Monte-Carlo walks   (engine/mc, armed via BepiSolver::
+//   1. the model's Krylov stage (the paper's method; fastest):
+//        ilu0+gmres      by default;
+//        jacobi+gmres    when the model has no ILU(0) factors (BePI-B,
+//                        BePI-S, or an ILU(0) breakdown at preprocess);
+//        ilu0+bicgstab   for the BiCGSTAB ablation (BepiInnerSolver::
+//                        kBicgstab; unpreconditioned `bicgstab` when that
+//                        ablation runs without factors)
+//   2. power iteration     (x <- q2~ + (I - S) x on S itself; always
+//                           converges, slower than a Krylov stage)
+//   3. Monte-Carlo walks   (engine/mc, armed via BepiSolver::
 //                           AttachMcFallback: failure-INDEPENDENT — walks
 //                           the raw graph, sharing none of the
-//                           preprocessed factors stages 1-4 all consume,
+//                           preprocessed factors stages 1-2 consume,
 //                           and answers with an explicit confidence bound
 //                           instead of a residual)
 //
-// Why stage 4 converges: S = I - T with T >= 0 and ||T||_1 <= 1 - c. T is
+// Why stage 2 converges: S = I - T with T >= 0 and ||T||_1 <= 1 - c. T is
 // the hub block of (1-c) A~^T once the spokes are eliminated — a censored
 // substochastic chain whose columns sum to at most 1 - c — so the
 // iteration matrix I - S = T contracts the 1-norm by 1 - c per step, and
 // the Neumann series sum_t T^t = S^{-1} is the same one behind
 // core/topk.hpp's ||S^{-1}||_1 <= 1/c. Its iterate is a Schur iterate like
-// any Krylov stage's and goes through the same back-substitution.
+// any Krylov stage's and goes through the same back-substitution. So power
+// answers every well-formed query its Krylov stage fails, and only a
+// broken S (injected faults, NaN) reaches the walks. Every attempt
+// is recorded in a QueryReport so callers can observe which stages ran
+// and why — no recoverable solver failure reaches std::abort.
 //
-// Two configurations reshape the chain instead of branching around it:
-// the BiCGSTAB ablation (BepiInnerSolver::kBicgstab) runs
-// ilu0+bicgstab -> power -> mc, and enable_fallbacks = false keeps only
-// the first stage. Every attempt is recorded in a QueryReport so callers
-// can observe which stages ran and why — no recoverable solver failure
-// reaches std::abort.
-//
-// One solve runs k >= 1 columns (a single query is k = 1). Each GMRES
-// stage is one GMRES call over the columns still unanswered; a column
-// that fails a stage moves on to the next stage alone, so every column's
+// One solve runs k >= 1 columns (a single query is k = 1). A GMRES stage
+// is one GMRES call over every column, each starting from zero; a column
+// that fails it moves on to the next stage alone, so every column's
 // report and answer are the ones it gets when solved by itself.
 #ifndef BEPI_CORE_RESILIENT_HPP_
 #define BEPI_CORE_RESILIENT_HPP_
@@ -73,9 +73,6 @@ struct McFallbackOptions {
 struct ResilientSolveOptions {
   index_t max_iters = 10000;
   index_t gmres_restart = 100;
-  /// When false the chain is only its first stage (the pre-resilience
-  /// behavior, kept for ablations).
-  bool enable_fallbacks = true;
   BepiInnerSolver inner_solver = BepiInnerSolver::kGmres;
 };
 
@@ -87,10 +84,6 @@ struct SchurColumn {
   const Vector* b = nullptr;
   /// Relative residual tolerance of every stage.
   real_t tol = 1e-9;
-  /// Initial iterate of the GMRES stages (null = start from zero). The MC
-  /// warm start (QueryControl::warm_start_mc) lands here; a nonzero guess
-  /// changes the iterate sequence, so the default path never sets it.
-  const Vector* x0 = nullptr;
   /// Cooperative cancellation, forwarded into every stage (GMRES restart
   /// cycles, BiCGSTAB/power iterations, walk batches). When the token
   /// expires this column stops degrading: the interrupted stage's best
@@ -137,17 +130,17 @@ struct TerminalStages {
 class ResilientSchurSolver {
  public:
   /// `ilu` may be null (BePI-B/S modes, or after an ILU(0) breakdown at
-  /// preprocessing time); the chain then starts at the Jacobi stage. The
-  /// Schur stages run the view's compact/fused kernels. Without `terminal`
-  /// the chain ends after the power stage.
+  /// preprocessing time); the Krylov stage is then Jacobi-preconditioned.
+  /// The Schur stages run the view's compact/fused kernels. Without
+  /// `terminal` the chain ends after the power stage.
   ResilientSchurSolver(const KernelCsr& schur, const Ilu0* ilu,
                        ResilientSolveOptions options,
                        const TerminalStages* terminal = nullptr);
 
-  /// Runs every column through the stages in order. Each GMRES stage is one
-  /// Gmres call (solver/gmres.hpp) over the columns still unanswered, so S
-  /// streams once per step for all of them; BiCGSTAB, power and MC run per
-  /// column. A column that fails a stage moves on to the next one, so its
+  /// Runs every column through the stages in order. A GMRES stage is one
+  /// Gmres call (solver/gmres.hpp) over all the columns, so S streams once
+  /// per step for all of them; BiCGSTAB, power and MC run per column. A
+  /// column that fails a stage moves on to the next one, so its
   /// report equals that of the same column solved alone, and each column's
   /// answer is bitwise the one it gets alone. Every attempt is recorded
   /// into the column's report; a stage run over two or more columns has one

@@ -50,7 +50,8 @@ struct QueryReport {
   /// demand from `attempts` — never accumulated separately — so it cannot
   /// drift from (or double-count) the per-attempt records.
   index_t total_iterations() const;
-  /// One line, e.g. "ilu0+gmres -> Breakdown; jacobi+gmres -> Converged".
+  /// One line, e.g. "ilu0+gmres -> Stagnated (0 iters); power -> Converged
+  /// (43 iters)".
   std::string Summary() const;
 };
 

@@ -37,7 +37,7 @@ Result<Vector> FixedPointIteration(const LinearOperator& g, const Vector& f,
   Vector next(f.size());
   if (BEPI_FAULT_INJECTED(fault_sites::kPowerStall)) {
     // Behaves exactly like a run whose budget expired before reaching tol:
-    // callers see kBudgetExhausted and degrade past hop 4.
+    // callers see kBudgetExhausted and degrade to the walk stage.
     stats->relative_residual = 1.0;
     stats->outcome = SolveOutcome::kBudgetExhausted;
     return x;

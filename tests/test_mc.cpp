@@ -209,7 +209,6 @@ class McFallbackTest : public ::testing::Test {
   static void ArmAllLinearAlgebraFaults() {
     auto& inj = FaultInjector::Global();
     inj.Arm(fault_sites::kGmresStagnate);
-    inj.Arm(fault_sites::kBicgstabBreakdown);
     inj.Arm(fault_sites::kPowerStall);
   }
 };
@@ -240,7 +239,7 @@ TEST_F(McFallbackTest, ChainBottomsOutInMcWithBoundContainingTruth) {
   EXPECT_EQ(last.outcome, SolveOutcome::kConverged);
   EXPECT_GT(last.residual, 0.0);  // the confidence half-width
   // Every earlier hop must be recorded as a failure, not skipped.
-  EXPECT_GE(stats.report.attempts.size(), 4u);
+  EXPECT_EQ(stats.report.attempts.size(), 3u);
   // The reported bound (sup-norm half-width) must contain the truth.
   for (index_t v = 0; v < g.num_nodes(); ++v) {
     EXPECT_LE(std::fabs((*scores)[v] - (*truth)[v]), last.residual)

@@ -241,9 +241,7 @@ TEST_F(ParallelTest, GmresWorkspaceReuseDoesNotChangeResults) {
 
 TEST_F(ParallelTest, FaultInWorkerPropagatesCleanStatus) {
   Graph g = test::SmallRmat(150, 700, 0.2, 17);
-  BepiOptions options;
-  options.enable_fallbacks = false;  // fault must surface, not degrade
-  BepiSolver solver(options);
+  BepiSolver solver{BepiOptions{}};
   ASSERT_TRUE(solver.Preprocess(g).ok());
   ASSERT_TRUE(ParallelContext::Global().SetNumThreads(4).ok());
   const std::vector<index_t> hubs = test::HubSeeds(solver.decomposition());
@@ -254,8 +252,10 @@ TEST_F(ParallelTest, FaultInWorkerPropagatesCleanStatus) {
   }
 
   // Every GMRES call inside the span's concurrent panels reports
-  // stagnation: each request fails on its own, the call itself does not.
+  // stagnation and every power stage stalls, with no walk engine armed:
+  // each request fails on its own, the call itself does not.
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate, 0, -1);
+  FaultInjector::Global().Arm(fault_sites::kPowerStall, 0, -1);
   auto faulted = solver.Solve(requests);
   FaultInjector::Global().Reset();
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();

@@ -1,6 +1,6 @@
 // Resilience layer tests: FaultInjector semantics, solver breakdown
-// detection, and the BePI degradation chain
-// ILU(0)+GMRES -> Jacobi+GMRES -> BiCGSTAB -> power iteration on S.
+// detection, and the BePI degradation chain: the model's Krylov stage,
+// then power iteration on S (the Monte-Carlo stage is in test_mc).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -311,45 +311,79 @@ TEST_F(DegradationChainTest, IluBreakdownAtPreprocessFallsToJacobi) {
   EXPECT_LT(DistL1(*r, Reference(7)), 1e-6);
 }
 
-TEST_F(DegradationChainTest, GmresStagnationFallsToBicgstab) {
+/// Stage names and outcomes of a report, in chain order.
+std::vector<std::string> StageList(const QueryReport& report) {
+  std::vector<std::string> stages;
+  for (const SolveAttempt& a : report.attempts) {
+    stages.push_back(a.stage + ":" + SolveOutcomeName(a.outcome));
+  }
+  return stages;
+}
+
+TEST_F(DegradationChainTest, AllKrylovHopsFailFallsToPowerIteration) {
+  // The chain has one Krylov stage, so a GMRES stagnation is all of them
+  // failing: the next hop is power, with nothing in between.
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
   QueryStats stats;
   auto r = solver.Query(11, &stats);
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(stats.report.attempts.size(), 3u);
-  EXPECT_EQ(stats.report.attempts[0].stage, "ilu0+gmres");
-  EXPECT_EQ(stats.report.attempts[0].outcome, SolveOutcome::kStagnated);
-  EXPECT_EQ(stats.report.attempts[1].stage, "jacobi+gmres");
-  EXPECT_EQ(stats.report.attempts[2].stage, "bicgstab");
-  EXPECT_EQ(stats.report.attempts[2].outcome, SolveOutcome::kConverged);
-  EXPECT_EQ(stats.report.fallback_hops(), 2);
-  EXPECT_LT(DistL1(*r, Reference(11)), 1e-6);
-}
-
-TEST_F(DegradationChainTest, AllKrylovHopsFailFallsToPowerIteration) {
-  FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
-  BepiSolver solver(BepiOptions{});
-  ASSERT_TRUE(solver.Preprocess(graph_).ok());
-  QueryStats stats;
-  auto r = solver.Query(19, &stats);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(stats.report.attempts.size(), 4u);
-  EXPECT_EQ(stats.report.attempts.back().stage, "power");
-  EXPECT_EQ(stats.report.attempts.back().outcome, SolveOutcome::kConverged);
-  EXPECT_EQ(stats.report.fallback_hops(), 3);
+  EXPECT_EQ(StageList(stats.report),
+            (std::vector<std::string>{"ilu0+gmres:Stagnated",
+                                      "power:Converged"}));
+  EXPECT_EQ(stats.report.fallback_hops(), 1);
   EXPECT_EQ(stats.outcome, SolveOutcome::kConverged);
-  EXPECT_LT(DistL1(*r, Reference(19)), 1e-6);
+  EXPECT_LT(DistL1(*r, Reference(11)), 1e-6);
   // The report renders a readable chain summary.
   EXPECT_NE(stats.report.Summary().find("power -> Converged"),
             std::string::npos);
 }
 
+TEST_F(DegradationChainTest, NoIluModelChainIsJacobiThenPower) {
+  // A model without ILU(0) factors, from BePI-S or from a breakdown at
+  // preprocess, has jacobi+gmres as its Krylov stage and power after it.
+  BepiOptions sparsified;
+  sparsified.mode = BepiMode::kSparsified;
+  BepiSolver bepi_s(sparsified);
+  ASSERT_TRUE(bepi_s.Preprocess(graph_).ok());
+  FaultInjector::Global().Arm(fault_sites::kIluFactor, /*skip=*/0,
+                              /*count=*/1);
+  BepiSolver broken(BepiOptions{});
+  ASSERT_TRUE(broken.Preprocess(graph_).ok());
+  ASSERT_TRUE(broken.info().ilu_skipped);
+  FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
+  for (const BepiSolver* solver : {&bepi_s, &broken}) {
+    SCOPED_TRACE(solver->name());
+    ASSERT_EQ(solver->preconditioner(), nullptr);
+    QueryStats stats;
+    auto r = solver->Query(13, &stats);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(StageList(stats.report),
+              (std::vector<std::string>{"jacobi+gmres:Stagnated",
+                                        "power:Converged"}));
+    EXPECT_LT(DistL1(*r, Reference(13)), 1e-6);
+  }
+}
+
+TEST_F(DegradationChainTest, BicgstabAblationBreakdownFallsToPower) {
+  BepiOptions options;
+  options.inner_solver = BepiInnerSolver::kBicgstab;
+  BepiSolver solver(options);
+  ASSERT_TRUE(solver.Preprocess(graph_).ok());
+  ASSERT_NE(solver.preconditioner(), nullptr);
+  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
+  QueryStats stats;
+  auto r = solver.Query(17, &stats);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(StageList(stats.report),
+            (std::vector<std::string>{"ilu0+bicgstab:Breakdown",
+                                      "power:Converged"}));
+  EXPECT_LT(DistL1(*r, Reference(17)), 1e-6);
+}
+
 TEST_F(DegradationChainTest, QueryVectorAlsoTakesTheChain) {
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
   auto q = PersonalizationVector(graph_.num_nodes(), {{3, 0.5}, {19, 0.5}});
@@ -363,17 +397,19 @@ TEST_F(DegradationChainTest, QueryVectorAlsoTakesTheChain) {
   EXPECT_LT(DistL1(*r, *expected), 1e-6);
 }
 
-TEST_F(DegradationChainTest, FallbacksDisabledSurfaceNotConverged) {
+TEST_F(DegradationChainTest, PowerStallWithoutMcSurfacesNotConverged) {
+  // With no walk engine armed, a query whose Krylov and power stages both
+  // fail is kNotConverged, and its report holds both attempts.
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  BepiOptions options;
-  options.enable_fallbacks = false;
-  BepiSolver solver(options);
+  FaultInjector::Global().Arm(fault_sites::kPowerStall);
+  BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(graph_).ok());
   QueryStats stats;
   auto r = solver.Query(5, &stats);
   EXPECT_EQ(r.status().code(), StatusCode::kNotConverged);
-  // The exhausted chain still reports its attempt.
-  EXPECT_EQ(stats.report.Summary(), "ilu0+gmres -> Stagnated (0 iters)");
+  EXPECT_EQ(StageList(stats.report),
+            (std::vector<std::string>{"ilu0+gmres:Stagnated",
+                                      "power:BudgetExhausted"}));
 }
 
 TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
@@ -388,7 +424,6 @@ TEST_F(DegradationChainTest, SavedModelRetainsPowerFallback) {
   auto loaded = BepiSolver::Load(stream);
   ASSERT_TRUE(loaded.ok());
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   QueryStats want_stats, stats;
   auto want = solver.Query(23, &want_stats);
   auto r = loaded->Query(23, &stats);
@@ -425,7 +460,6 @@ TEST_F(DeadendGraphTest, AllDeadendGraphQueriesExactly) {
 TEST_F(DeadendGraphTest, FaultsOnDeadendOnlyGraphAreHarmless) {
   FaultInjector::Global().Arm(fault_sites::kIluFactor);
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   auto g = Graph::FromEdges(5, {});
   ASSERT_TRUE(g.ok());
   BepiSolver solver(BepiOptions{});
@@ -439,7 +473,6 @@ TEST_F(DeadendGraphTest, FaultsOnDeadendOnlyGraphAreHarmless) {
 TEST_F(DeadendGraphTest, MostlyDeadendGraphSurvivesFullChain) {
   Graph g = test::SmallRmat(80, 120, 0.7, 99);
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   BepiSolver solver(BepiOptions{});
   ASSERT_TRUE(solver.Preprocess(g).ok());
   RwrOptions ref_options;

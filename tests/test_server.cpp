@@ -985,10 +985,10 @@ TEST_F(ServerTest, DumpVerbReturnsFlightRecorderTrace) {
 }
 
 // The acceptance scenario: with every linear-algebra stage fault-injected,
-// one request degrades ilu0+gmres -> jacobi+gmres -> bicgstab -> power ->
-// mc. The response's timing must name all five stages with per-stage
-// wall-clock, the flight recorder must hold the same hop sequence under
-// the request_id, and the slow-query log machinery must attribute it.
+// one request degrades ilu0+gmres -> power -> mc. The response's timing
+// must name all three stages with per-stage wall-clock, the flight
+// recorder must hold the same hop sequence under the request_id, and the
+// slow-query log machinery must attribute it.
 TEST_F(ServerTest, FullDegradationChainIsObservableEndToEnd) {
   FlightRecorder::ResetForTest();
   BepiOptions options;
@@ -1000,7 +1000,7 @@ TEST_F(ServerTest, FullDegradationChainIsObservableEndToEnd) {
 
   FaultInjector::Global().Reset();
   ASSERT_TRUE(FaultInjector::Global()
-                  .Configure("gmres.stagnate,bicgstab.breakdown,power.stall")
+                  .Configure("gmres.stagnate,power.stall")
                   .ok());
   ServeOptions serve_options;
   serve_options.slots = 1;
@@ -1021,8 +1021,7 @@ TEST_F(ServerTest, FullDegradationChainIsObservableEndToEnd) {
   EXPECT_EQ(parsed->object_value.at("stage").string_value, "mc");
   const auto& stages =
       parsed->object_value.at("timing").object_value.at("stages").array_value;
-  const std::vector<std::string> expected = {
-      "ilu0+gmres", "jacobi+gmres", "bicgstab", "power", "mc"};
+  const std::vector<std::string> expected = {"ilu0+gmres", "power", "mc"};
   ASSERT_EQ(stages.size(), expected.size()) << line;
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(stages[i].object_value.at("stage").string_value, expected[i]);

@@ -16,7 +16,6 @@
 #include "core/bepi.hpp"
 #include "core/iterative.hpp"
 #include "core/topk.hpp"
-#include "engine/mc/mc.hpp"
 #include "solver/dense_lu.hpp"
 #include "sparse/kernel.hpp"
 #include "test_util.hpp"
@@ -314,15 +313,13 @@ std::vector<std::string> StageList(const QueryStats& stats) {
 
 TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
   // Every request shape in one Solve: seeds and personalization vectors,
-  // a duplicate seed, an out-of-range seed, an eps top-k, a dense eps item
-  // and a warm-started item, in one panel and cycled over several. Each
+  // a duplicate seed, an out-of-range seed, an eps top-k and a dense eps
+  // item, in one panel and cycled over several. Each
   // result must equal its width-1 call bit for bit — scores, top-k entries
   // and the report's stage list — at 1, 4 and 8 threads.
   const Graph g = test::SmallRmat(300, 1500, 0.2, 23);
   BepiSolver solver{BepiOptions{}};
   ASSERT_TRUE(solver.Preprocess(g).ok());
-  McWalkEngine mc(g);
-  ASSERT_TRUE(solver.AttachMcFallback(&mc, McFallbackOptions{}).ok());
   const Vector q1 =
       PersonalizationVector(300, {{4, 1.0}, {150, 2.0}, {299, 1.0}}).value();
   const Vector q2 = PersonalizationVector(300, {{60, 1.0}}).value();
@@ -333,14 +330,12 @@ TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
   eps.eps = 1e-5;
   QueryControl dense_eps;
   dense_eps.eps = 1e-6;
-  QueryControl warm;
-  warm.warm_start_mc = true;
   const std::vector<QueryRequest> requests = {
       {11, nullptr, {}, {}},       {0, &q1, {}, {}},
       {11, nullptr, {}, {}},       {90, nullptr, exact, {}},
       {300, nullptr, {}, {}},      {120, nullptr, eps, {}},
-      {7, nullptr, {}, dense_eps}, {45, nullptr, {}, warm},
-      {0, &q2, exact, {}},         {200, nullptr, {}, {}}};
+      {7, nullptr, {}, dense_eps}, {0, &q2, exact, {}},
+      {200, nullptr, {}, {}}};
 
   // The same shapes cycled to 40: past 16 requests Solve answers balanced
   // panels as pool tasks, and each answer must still be its width-1 call's.
@@ -403,8 +398,8 @@ TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
         }
       }
       if (span != &requests) continue;
-      // Every valid request coalesced: the eps ones with their own
-      // tolerance, the warm-started one with its own initial iterate.
+      // Every valid request coalesced, the eps ones with their own
+      // tolerance.
       EXPECT_TRUE((*solved)[0].coalesced);
       EXPECT_TRUE((*solved)[2].coalesced);
       EXPECT_TRUE((*solved)[3].coalesced);
@@ -417,8 +412,8 @@ TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
   }
 
   // One gmres.stagnate hit lands on the first column that reaches the
-  // fault site. That column moves on to jacobi+gmres by itself and must
-  // equal the same request solved alone under the same arming; the other
+  // fault site. That column moves on to power by itself and must equal
+  // the same request solved alone under the same arming; the other
   // columns stay coalesced and equal their clean width-1 calls.
   const std::vector<QueryRequest> faulted = {{11, nullptr, {}, {}},
                                              {90, nullptr, exact, {}},
@@ -435,7 +430,7 @@ TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
   FaultInjector::Global().Reset();
   ASSERT_TRUE(solved.ok());
   const std::vector<std::string> degraded = {"ilu0+gmres:Stagnated",
-                                             "jacobi+gmres:Converged"};
+                                             "power:Converged"};
   const QueryResult& got = solved->front();
   ASSERT_TRUE(got.status.ok());
   EXPECT_EQ(StageList(got.stats), degraded);
@@ -455,34 +450,8 @@ TEST_F(TopKTest, SolveMatchesWidthOneCallsBitwise) {
   }
 }
 
-TEST_F(TopKTest, McWarmStartMatchesDefaultAnswerWithinTolerance) {
-  const Graph g = test::SmallRmat(250, 1200, 0.2, 19);
-  BepiOptions options;
-  BepiSolver solver(options);
-  ASSERT_TRUE(solver.Preprocess(g).ok());
-  McWalkEngine mc(g);
-  ASSERT_TRUE(solver.AttachMcFallback(&mc, McFallbackOptions{}).ok());
-  const auto cold = solver.Query(33);
-  ASSERT_TRUE(cold.ok());
-  QueryControl ctl;
-  ctl.warm_start_mc = true;
-  QueryStats stats;
-  const auto warm = solver.Query(33, &stats, nullptr, ctl);
-  ASSERT_TRUE(warm.ok());
-  // Different iterate sequence, same converged answer up to tolerance.
-  real_t max_diff = 0.0;
-  for (std::size_t i = 0; i < cold->size(); ++i) {
-    max_diff = std::max(max_diff, std::abs((*cold)[i] - (*warm)[i]));
-  }
-  EXPECT_LT(max_diff, 1e-7);
-  // And with the control off the path is untouched (bit identity).
-  const auto again = solver.Query(33);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, *cold);
-}
-
 TEST_F(TopKTest, DenseFallbackStillAnswersWithBound) {
-  // Degrade every Krylov stage of the Schur chain: the query falls to the
+  // Degrade the Krylov stage of the Schur chain: the query falls to the
   // power stage, whose Schur iterate back-substitutes like a Krylov one,
   // so the top-k answer still carries the residual bound. The truth is a
   // power iteration on the raw graph, which shares nothing with S.
@@ -515,7 +484,6 @@ TEST_F(TopKTest, DenseFallbackStillAnswersWithBound) {
   };
 
   FaultInjector::Global().Arm(fault_sites::kGmresStagnate);
-  FaultInjector::Global().Arm(fault_sites::kBicgstabBreakdown);
   TopKOptions opts;
   opts.k = 6;
   opts.mode = TopKMode::kEps;

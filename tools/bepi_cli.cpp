@@ -99,16 +99,14 @@ const CommandHelp kCommands[] = {
      "  --graph=FILE          input edge list (required)\n"
      "  --model=FILE          output model path, format v8: raw arrays in\n"
      "                        checksummed sections (required)\n"
-     "  --mode=MODE           bepi (ILU(0)+GMRES, default), bepi-s, bepi-b\n"
+     "  --mode=MODE           bepi (ILU(0)+GMRES, default), bepi-s or\n"
+     "                        bepi-b; any other value exits 2\n"
      "  --k=X                 hub ratio; 0 = the mode's paper default\n"
      "  --c=X                 restart probability (default 0.05)\n"
      "  --tol=X               solver tolerance (default 1e-9)\n"
      "  --checkpoint-dir=DIR  kill-safe preprocessing: rerun the same\n"
      "                        command after a crash to resume from the\n"
      "                        last durable stage\n"
-     "  --no-fallbacks        fail on an ILU(0) breakdown instead of\n"
-     "                        continuing unpreconditioned (not stored in\n"
-     "                        the model: `query` always degrades)\n"
      "example:\n"
      "  bepi_cli preprocess --graph=/tmp/g.txt --model=/tmp/m.txt\n"},
     {"query",
@@ -136,16 +134,13 @@ const CommandHelp kCommands[] = {
      "  --dump-topk=FILE   write the ranking as 'node score' lines at full\n"
      "                     precision (byte-comparable across --kernel and\n"
      "                     --threads)\n"
-     "  --warm-start=mc    seed the Schur solve from a cheap Monte-Carlo\n"
-     "                     estimate (needs --graph; off by default — a\n"
-     "                     warm start changes the iterate sequence, so\n"
-     "                     bit-identity only holds on the default path)\n"
      "  --dump-scores=FILE single-seed mode: also write every node's score,\n"
      "                     one per line in node order, at full precision\n"
      "                     (for bit-identity checks across --kernel and\n"
      "                     --threads settings)\n"
      "  --stats            latency percentiles over --num-queries\n"
-     "                     consecutive seeds instead of a ranking\n"
+     "                     consecutive seeds from --seed-node (required)\n"
+     "                     instead of a ranking\n"
      "  --num-queries=N    sample size for --stats (default 100)\n"
      "  --engine=NAME      exact (default; the model's solver chain) or mc\n"
      "                     (Monte-Carlo walks on the raw graph — needs\n"
@@ -197,23 +192,19 @@ const CommandHelp kCommands[] = {
      "                   distinct from the fallback stage's default so a\n"
      "                   chain that bottoms out in MC is still checked\n"
      "                   against independent randomness)\n"
-     "  --no-fallbacks   disable the solver degradation chain: a failed\n"
-     "                   Schur solve is an error instead of a fallback\n"
      "also accepts the preprocess options --mode/--k/--c/--tol.\n"
      "exit status: 0 = every engine agreed within bounds, 1 = violation\n"
      "(prints the worst offending node, diff and allowed bound).\n"
      "example:\n"
      "  bepi_cli crosscheck --graph=/tmp/g.txt --seeds=5\n"
      "  bepi_cli crosscheck --graph=/tmp/g.txt \\\n"
-     "    --fault-inject=ilu0.factor,gmres.stagnate,bicgstab.breakdown\n"},
+     "    --fault-inject=ilu0.factor,gmres.stagnate\n"},
     {"rank",
      "rank       --graph=FILE --seed-node=ID [--topk=10]",
      "bepi_cli rank — one-shot preprocess + query (no model file)\n"
      "  --graph=FILE     input edge list (required)\n"
      "  --seed-node=ID   seed node (required)\n"
      "  --topk=K         ranking length (default 10)\n"
-     "  --no-fallbacks   disable the solver degradation chain: a failed\n"
-     "                   Schur solve is an error instead of a fallback\n"
      "also accepts the preprocess options --mode/--k/--c/--tol.\n"
      "example:\n"
      "  bepi_cli rank --graph=/tmp/g.txt --seed-node=17\n"},
@@ -377,15 +368,13 @@ const std::map<std::string, std::vector<FlagSpec>>& CommandFlagSpecs() {
                             {"k", FlagType::kDouble},
                             {"c", FlagType::kDouble},
                             {"tol", FlagType::kDouble},
-                            {"checkpoint-dir", FlagType::kString},
-                            {"no-fallbacks", FlagType::kBool}})},
+                            {"checkpoint-dir", FlagType::kString}})},
           {"query", WithGlobalFlags({{"model", FlagType::kString},
                                      {"seed-node", FlagType::kInt},
                                      {"seeds-file", FlagType::kString},
                                      {"topk", FlagType::kInt},
                                      {"top-k", FlagType::kInt},
                                      {"dump-topk", FlagType::kString},
-                                     {"warm-start", FlagType::kString},
                                      {"dump-scores", FlagType::kString},
                                      {"stats", FlagType::kBool},
                                      {"num-queries", FlagType::kInt},
@@ -408,16 +397,14 @@ const std::map<std::string, std::vector<FlagSpec>>& CommandFlagSpecs() {
                             {"mode", FlagType::kString},
                             {"k", FlagType::kDouble},
                             {"c", FlagType::kDouble},
-                            {"tol", FlagType::kDouble},
-                            {"no-fallbacks", FlagType::kBool}})},
+                            {"tol", FlagType::kDouble}})},
           {"rank", WithGlobalFlags({{"graph", FlagType::kString},
                                     {"seed-node", FlagType::kInt},
                                     {"topk", FlagType::kInt},
                                     {"mode", FlagType::kString},
                                     {"k", FlagType::kDouble},
                                     {"c", FlagType::kDouble},
-                                    {"tol", FlagType::kDouble},
-                                    {"no-fallbacks", FlagType::kBool}})},
+                                    {"tol", FlagType::kDouble}})},
           {"serve",
            WithGlobalFlags({{"model", FlagType::kString},
                             {"socket", FlagType::kString},
@@ -469,14 +456,14 @@ Status CheckQueryFlagCombinations(const Flags& flags) {
       {"walks", walks, "needs --graph (the MC fallback) or --engine=mc"},
       {"delta", walks, "needs --graph (the MC fallback) or --engine=mc"},
       {"walk-seed", walks, "needs --graph (the MC fallback) or --engine=mc"},
-      {"warm-start", !mc && flags.Has("graph"),
-       "needs --graph to arm the MC engine (and not --engine=mc)"},
       {"model", !mc, "is not read by --engine=mc (it walks --graph)"},
       {"seeds-file", !mc, "cannot be combined with --engine=mc"},
       {"seed-node", !flags.Has("seeds-file"),
        "cannot be combined with --seeds-file"},
       {"stats", !mc && !flags.Has("seeds-file"),
        "cannot be combined with --seeds-file or --engine=mc"},
+      {"stats", flags.Has("seed-node"),
+       "needs --seed-node (the first of its --num-queries seeds)"},
       {"num-queries", flags.Has("stats"), "needs --stats"},
       {"top-k", !mc && !flags.Has("stats"),
        "cannot be combined with --stats or --engine=mc"},
@@ -540,20 +527,22 @@ Result<Graph> LoadGraphFlag(const Flags& flags) {
   return ReadEdgeListFile(path);
 }
 
+/// The --mode vocabulary of preprocess, rank and crosscheck; nullopt for
+/// any other value (main rejects it before any work).
+std::optional<BepiMode> ModeFromFlags(const Flags& flags) {
+  const std::string mode = flags.GetString("mode", "bepi");
+  if (mode == "bepi") return BepiMode::kPreconditioned;
+  if (mode == "bepi-s") return BepiMode::kSparsified;
+  if (mode == "bepi-b") return BepiMode::kBasic;
+  return std::nullopt;
+}
+
 BepiOptions OptionsFromFlags(const Flags& flags) {
   BepiOptions options;
-  const std::string mode = flags.GetString("mode", "bepi");
-  if (mode == "bepi-b") {
-    options.mode = BepiMode::kBasic;
-  } else if (mode == "bepi-s") {
-    options.mode = BepiMode::kSparsified;
-  } else {
-    options.mode = BepiMode::kPreconditioned;
-  }
+  options.mode = *ModeFromFlags(flags);
   options.hub_ratio = flags.GetDouble("k", 0.0);
   options.restart_prob = flags.GetDouble("c", 0.05);
   options.tolerance = flags.GetDouble("tol", 1e-9);
-  options.enable_fallbacks = !flags.Has("no-fallbacks");
   options.cancel = ShutdownToken();
   return options;
 }
@@ -784,16 +773,6 @@ int QueryLatencyStats(const BepiSolver& solver, index_t first_seed,
   return 0;
 }
 
-/// --warm-start vocabulary: absent/empty = cold (default), "mc" = seed
-/// the Schur solve from the attached Monte-Carlo engine (needs --graph).
-Result<bool> WarmStartFromFlags(const Flags& flags) {
-  const std::string ws = flags.GetString("warm-start", "");
-  if (ws.empty()) return false;
-  if (ws == "mc") return true;
-  return Status::InvalidArgument("--warm-start must be \"mc\", got \"" + ws +
-                                 "\"");
-}
-
 /// Per-query top-k options from the --top-k/--eps flags (exact mode
 /// unless --eps > 0).
 TopKOptions TopKOptionsFromFlags(const Flags& flags) {
@@ -830,12 +809,9 @@ int DumpTopKFile(const std::vector<std::pair<index_t, real_t>>& entries,
 int QueryTopKSingle(const BepiSolver& solver, const Flags& flags,
                     index_t seed) {
   const TopKOptions opts = TopKOptionsFromFlags(flags);
-  auto warm = WarmStartFromFlags(flags);
-  if (!warm.ok()) return Fail(warm.status());
   QueryStats stats;
   QueryControl control;
   control.cancel = ShutdownToken();
-  control.warm_start_mc = *warm;
   auto result = solver.QueryTopK(seed, opts, &stats, nullptr, control);
   if (!result.ok()) return Fail(result.status());
   std::printf("top-%lld query (%s mode) took %.3f ms\n",
@@ -869,11 +845,8 @@ int QueryBatch(const BepiSolver& solver, const Flags& flags,
   if (seeds->empty()) {
     return Fail(Status::InvalidArgument("seeds file has no seeds"));
   }
-  auto warm = WarmStartFromFlags(flags);
-  if (!warm.ok()) return Fail(warm.status());
   QueryRequest shape;
   shape.control.cancel = ShutdownToken();
-  shape.control.warm_start_mc = *warm;
   if (flags.Has("top-k")) shape.topk = TopKOptionsFromFlags(flags);
   // A duplicate seed is solved once: an answer is a pure function of
   // (model, seed).
@@ -998,9 +971,6 @@ int CmdQuery(const Flags& flags) {
   QueryStats stats;
   QueryControl control;
   control.cancel = ShutdownToken();
-  auto warm = WarmStartFromFlags(flags);
-  if (!warm.ok()) return Fail(warm.status());
-  control.warm_start_mc = *warm;
   auto scores = solver->Query(seed, &stats, nullptr, control);
   if (!scores.ok()) return Fail(scores.status());
   std::printf("query took %.3f ms (%lld inner iterations)\n",
@@ -1328,6 +1298,12 @@ int main(int argc, char** argv) {
     bepi::Status valid = flags.Validate(spec_it->second);
     if (valid.ok() && command == "query") {
       valid = CheckQueryFlagCombinations(flags);
+    }
+    if (valid.ok() && flags.Has("mode") && !ModeFromFlags(flags)) {
+      std::string message = "--mode must be bepi, bepi-s or bepi-b, got \"";
+      message += flags.GetString("mode", "");
+      message += '"';
+      valid = bepi::Status::InvalidArgument(message);
     }
     if (valid.ok() && command == "serve") {
       const bepi::index_t batch_max = flags.GetInt("batch-max", 8);

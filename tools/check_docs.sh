@@ -138,7 +138,7 @@ fi
   --deadends=0.2 --seed=7 >/dev/null
 "$cli" preprocess --graph="$workdir/g.txt" --model="$workdir/m.txt" \
   --metrics-out="$workdir/metrics_pre.json" >/dev/null 2>&1
-BEPI_FAULT_INJECT=gmres.stagnate,bicgstab.breakdown,power.stall \
+BEPI_FAULT_INJECT=gmres.stagnate,power.stall \
   "$cli" query --model="$workdir/m.txt" --graph="$workdir/g.txt" \
   --seed-node=5 --metrics-out="$workdir/metrics_query.json" >/dev/null 2>&1
 printf '{"op":"query","seed":1}\n' |

@@ -40,7 +40,7 @@
 #     of the same seed; wave 2 repeats the seeds and must be answered
 #     entirely from the cache (stage "cache", counters to match); then a
 #     faulted batch (gmres.stagnate on one column) must degrade that
-#     column alone to jacobi+gmres — equal to a one-shot query of that
+#     column alone to power — equal to a one-shot query of that
 #     seed under the same fault — while the rest stay coalesced and equal
 #     to the clean dumps;
 #   * crosscheck: the Monte-Carlo oracle against the exact solve on two
@@ -51,7 +51,7 @@
 #     the top of the same seed's full `--dump-scores` dump across
 #     --kernel=compact/wide and --threads=1/4 on two example graphs,
 #     crosscheck --query-eps verifies the eps-mode per-score bound
-#     against the MC oracle, clean and with the Krylov stages faulted so
+#     against the MC oracle, clean and with the Krylov stage faulted so
 #     the power stage answers, and a fully faulted chain must still answer
 #     a top-k query with an explicit bound;
 #   * observability: a request_id-tagged flood scraped mid-flight with the
@@ -75,11 +75,11 @@
 #     batch-serve artifact asserts per-query stream bytes fall
 #     monotonically with the batch width and cache hits beat cold
 #     solves, the topk artifact asserts exact-mode answers matched the
-#     dense sort and the warm start's iteration savings were recorded,
-#     and the observability artifact asserts bit-identical scores and
-#     <2% query overhead with the forensics machinery on;
+#     dense sort, and the observability artifact asserts bit-identical
+#     scores and <2% query overhead with the forensics machinery on;
 #   * flag rejections: every `bepi_cli` flag combination that would be
-#     silently ignored, every integer flag value that does not fit the
+#     silently ignored, every removed flag, every --mode outside
+#     bepi|bepi-s|bepi-b, every integer flag value that does not fit the
 #     type the program keeps it in, a serve --batch-max outside one
 #     Solve panel's 1 to 16 and a serve --slots below 1 must exit 2
 #     naming the flag;
@@ -131,7 +131,6 @@ smoke_flag_rejections() {
     fi
   }
   local q=(query --model="$work/m.txt" --seed-node=3)
-  expect_usage_error --no-fallbacks "${q[@]}" --no-fallbacks
   expect_usage_error --c "${q[@]}" --c=0.9
   expect_usage_error --deadline-ms "${q[@]}" --deadline-ms=0.001
   expect_usage_error --eps "${q[@]}" --eps=1e-3
@@ -141,14 +140,41 @@ smoke_flag_rejections() {
   expect_usage_error --walks "${q[@]}" --walks=1000
   expect_usage_error --delta "${q[@]}" --delta=0.1
   expect_usage_error --walk-seed "${q[@]}" --walk-seed=5
-  expect_usage_error --warm-start "${q[@]}" --warm-start=mc
   expect_usage_error --num-queries "${q[@]}" --num-queries=5
   expect_usage_error --topk query --model="$work/m.txt" \
     --seeds-file="$work/seeds.txt" --topk=3
   expect_usage_error --topk "${q[@]}" --stats --topk=3
   expect_usage_error --topk "${q[@]}" --top-k=5 --topk=3
-  # A flag that no longer exists is rejected like any unknown flag.
+  # A flag that no longer exists is rejected like any unknown flag: the
+  # pruned top-k path, the MC warm start and the switch that disabled the
+  # degradation chain are gone.
   expect_usage_error --topk-via "${q[@]}" --topk-via=dense
+  expect_usage_error --warm-start "${q[@]}" --warm-start=mc
+  expect_usage_error --warm-start query --model="$work/m.txt" \
+    --graph="$work/g.txt" --seed-node=3 --warm-start=mc
+  expect_usage_error --warm-start query --engine=mc --graph="$work/g.txt" \
+    --seed-node=3 --warm-start=mc
+  expect_usage_error --no-fallbacks "${q[@]}" --no-fallbacks
+  expect_usage_error --no-fallbacks preprocess --graph="$work/g.txt" \
+    --model="$work/m2.txt" --no-fallbacks
+  expect_usage_error --no-fallbacks verify-model --model="$work/m.txt" \
+    --no-fallbacks
+  # --mode names one of three variants; any other value (a typo, another
+  # case) is an error, not a silent BePI model.
+  expect_usage_error --mode preprocess --graph="$work/g.txt" \
+    --model="$work/m2.txt" --mode=bogus
+  expect_usage_error --mode preprocess --graph="$work/g.txt" \
+    --model="$work/m2.txt" --mode=BEPI-S
+  expect_usage_error --mode rank --graph="$work/g.txt" --seed-node=3 \
+    --mode=bepi-x
+  expect_usage_error --mode crosscheck --graph="$work/g.txt" --mode=
+  if [ -e "$work/m2.txt" ]; then
+    echo "a rejected preprocess wrote a model" >&2
+    exit 1
+  fi
+  # --stats times consecutive seeds from --seed-node.
+  expect_usage_error --stats query --model="$work/m.txt" --stats \
+    --num-queries=5
   expect_usage_error --dump-topk "${q[@]}" --dump-topk="$work/t.txt"
   expect_usage_error --model query --engine=mc --graph="$work/g.txt" \
     --seed-node=3 --model="$work/m.txt"
@@ -160,10 +186,6 @@ smoke_flag_rejections() {
     --seeds-file="$work/seeds.txt" --seed-node=5
   expect_usage_error --stats query --model="$work/m.txt" \
     --seeds-file="$work/seeds.txt" --stats --num-queries=5
-  expect_usage_error --warm-start query --engine=mc --graph="$work/g.txt" \
-    --seed-node=3 --warm-start=mc
-  expect_usage_error --no-fallbacks verify-model --model="$work/m.txt" \
-    --no-fallbacks
   # Integer values that do not fit are rejected, not truncated: 2^32 + 2
   # threads would run 2, a 2^32 MiB cache would be none.
   expect_usage_error --threads generate --out="$work/g2.txt" --nodes=50 \
@@ -411,7 +433,7 @@ smoke_crosscheck() {
   # 2. Every linear-algebra stage fault-injected: the degradation chain
   # must bottom out in the MC terminal stage and still answer with a
   # bounded-error reply — over the CLI and over serve.
-  local faults="ilu0.factor,gmres.stagnate,bicgstab.breakdown,power.stall"
+  local faults="ilu0.factor,gmres.stagnate,power.stall"
   "$cli" preprocess --graph="$work/graph.txt" --model="$work/model.txt" \
     >/dev/null
   # Seed 5 is not a deadend in this graph: a deadend seed's RWR vector is
@@ -494,10 +516,10 @@ EOF
   "$cli" crosscheck --graph="$work/spoke.txt" --seeds=2 --walks=100000 \
     --query-eps=1e-4 >/dev/null
   echo "    eps-mode per-score bound verified against the MC oracle"
-  # The same check with the Krylov stages faulted: the power stage answers
+  # The same check with the Krylov stage faulted: the power stage answers
   # with a Schur iterate, and the bound of its back-substituted answer
   # must hold too.
-  BEPI_FAULT_INJECT=gmres.stagnate,bicgstab.breakdown "$cli" crosscheck \
+  BEPI_FAULT_INJECT=gmres.stagnate "$cli" crosscheck \
     --graph="$work/spoke.txt" --seeds=2 --walks=100000 --query-eps=1e-4 \
     >"$work/power_crosscheck.out"
   grep -q -E '^[0-9]+ +power ' "$work/power_crosscheck.out"
@@ -506,7 +528,7 @@ EOF
   # 3. A fully faulted chain must still answer a top-k query: the MC
   # terminal stage produces the full vector, the CLI sorts it, and eps
   # mode keeps carrying an explicit per-score bound.
-  local faults="ilu0.factor,gmres.stagnate,bicgstab.breakdown,power.stall"
+  local faults="ilu0.factor,gmres.stagnate,power.stall"
   BEPI_FAULT_INJECT="$faults" "$cli" query --model="$work/spoke.model" \
     --graph="$work/spoke.txt" --seed-node=5 --top-k=10 --eps=1e-3 \
     >"$work/faulted_topk.out" 2>&1
@@ -733,7 +755,7 @@ EOF
   # 2. A faulted column degrades alone: gmres.stagnate fires once. Seed 3's
   # Schur right-hand side is zero, so its column converges in 0 iterations
   # before the fault site and the hit lands on seed 9's column. That
-  # column moves on to jacobi+gmres by itself, exactly as seed 9 solved
+  # column moves on to power by itself, exactly as seed 9 solved
   # alone under the same fault does, while seed 3 stays coalesced and
   # equal to its clean dump.
   "$cli" query --model="$work/model.txt" --seed-node=9 \
@@ -768,9 +790,9 @@ for i, seed in enumerate(seeds):
     r = responses[i]
     assert r["ok"] and not r["partial"], r
     if seed == 9:
-        assert r["stage"] == "jacobi+gmres", r
+        assert r["stage"] == "power", r
     assert r["scores"] == direct[seed], f"seed {seed} differs under fault"
-print("    faulted column degraded alone to jacobi+gmres (coalesced flags "
+print("    faulted column degraded alone to power (coalesced flags "
       f"{sorted(r.get('coalesced', False) for r in responses.values())}); "
       "seed 9 equals its solo faulted dump, seed 3 its clean dump")
 EOF
@@ -871,11 +893,11 @@ print(f"    flood: {len(served)} timed responses, strict exposition parse "
 EOF
 
   # 2. The acceptance scenario: every linear-algebra stage fault-injected,
-  # one request degrades ilu0+gmres -> jacobi+gmres -> bicgstab -> power
-  # -> mc. The response's timing must name all five stages, the flight-
-  # recorder dump must reconstruct the same hop sequence under the
-  # request_id, and the slow-query log must attribute the same request.
-  local faults="gmres.stagnate,bicgstab.breakdown,power.stall"
+  # one request degrades ilu0+gmres -> power -> mc. The response's timing
+  # must name all three stages, the flight-recorder dump must reconstruct
+  # the same hop sequence under the request_id, and the slow-query log
+  # must attribute the same request.
+  local faults="gmres.stagnate,power.stall"
   (
     printf '{"op":"query","request_id":"chain-1","seed":5}\n'
     sleep 2 # the dump verb answers inline; let the query finish first
@@ -888,7 +910,7 @@ EOF
 import json, sys
 work = sys.argv[1]
 lines = [json.loads(l) for l in open(f"{work}/chain.out")]
-expected = ["ilu0+gmres", "jacobi+gmres", "bicgstab", "power", "mc"]
+expected = ["ilu0+gmres", "power", "mc"]
 response = [l for l in lines if l.get("request_id") == "chain-1"][0]
 assert response["ok"] and response["stage"] == "mc", response
 stages = response["timing"]["stages"]
@@ -899,7 +921,7 @@ hops = [e["args"]["detail"] for e in dump["flightrec"]["traceEvents"]
         if e["name"] == "stage_hop"
         and e["args"]["request_id"] == "chain-1"]
 assert hops == expected, hops
-print("    5-stage chain: response timing names every stage; flight "
+print("    3-stage chain: response timing names every stage; flight "
       "recorder reconstructs the hop sequence by request_id")
 EOF
 
@@ -1036,8 +1058,6 @@ trec = topk["results"]
 assert trec, "BENCH_topk.json has no results"
 exact = [r for r in trec if r["metric"] == "exact_match"]
 assert exact and all(r["value"] == 1.0 for r in exact), exact
-warm = [r for r in trec if r["metric"] == "iterations_saved_frac"]
-assert warm and all(r["value"] >= 0.0 for r in warm), warm
 obs = json.load(open(f"{out}/BENCH_observability.json"))
 assert obs["bench"] == "observability", obs.get("bench")
 orec = obs["results"]
